@@ -13,14 +13,12 @@ or concordance failure, 64 malformed scenario/configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
-from .copula import survival_copula_eval
-from .marginals import mphr_sf
 from .mcsim import SimConfig, mc_vs_analytic_report
 from .orderstats import DependentSampleSpec, oracle_identity_max_deviation
 from .scenarios import (
@@ -32,6 +30,7 @@ from .scenarios import (
 from .stochorder import (
     PRIMARY_CHECK,
     DominanceReport,
+    Grid,
     Scenario,
     check_hr,
     check_st,
@@ -44,10 +43,6 @@ from .svgplot import render_csv_plot
 ORACLE_TOLERANCE = 1e-10
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.17g}"
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -55,31 +50,38 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _curves_csv(scenario: Scenario) -> str:
-    """Schema u,x,sf_X,sf_Y,hr_X,hr_Y,source; rows ascend in u.
+def _column(values, rows: int, hazard: bool = False) -> list[str]:
+    """``rows`` CSV cells holding ``values`` at 17 significant digits.
 
-    Hazard cells stay empty for survival-only comparisons and at x = 0,
-    distinguishing "not computed" from an actual zero.
+    ``None`` gives an empty column.  A hazard cell is empty where the value
+    is not finite, and so are the rows past the end of ``values``: hazards
+    cover ``Grid.positive_x``, which lacks only a final u = 1 point.
     """
-    grid = scenario.grid
-    xs = grid.x
-    sf_x, sf_y = scenario_survival_functions(scenario)
-    fx = np.asarray(sf_x(xs), dtype=float)
-    fy = np.asarray(sf_y(xs), dtype=float)
-    hazards = scenario_hazard_functions(scenario)
-    hx = hy = None
-    if hazards is not None:
-        pos = grid.u < 1.0
-        hx = np.full(xs.size, np.nan)
-        hy = np.full(xs.size, np.nan)
-        hx[pos] = np.asarray(hazards[0](xs[pos]), dtype=float)
-        hy[pos] = np.asarray(hazards[1](xs[pos]), dtype=float)
+    if values is None:
+        return [""] * rows
+    vals = values.tolist()
+    if hazard:
+        cells = [f"{v:.17g}" if math.isfinite(v) else "" for v in vals]
+    else:
+        cells = [f"{v:.17g}" for v in vals]
+    return cells + [""] * (rows - len(cells))
+
+
+def _csv_text(grid: Grid, blocks) -> str:
+    """Schema u,x,sf_X,sf_Y,hr_X,hr_Y,source; each block's rows ascend in u.
+
+    A block is (source, sf_X, sf_Y, hr_X, hr_Y) with survivals over
+    ``grid.x``, hazards over ``grid.positive_x`` and ``None`` for a column
+    left empty.  Empty hazard cells distinguish "not computed" (x = 0,
+    survival-only comparisons) and non-finite values from an actual zero.
+    """
+    rows = grid.u.size
+    ux = [f"{u:.17g},{x:.17g}" for u, x in zip(grid.u.tolist(), grid.x.tolist())]
     lines = ["u,x,sf_X,sf_Y,hr_X,hr_Y,source"]
-    for i, u in enumerate(grid.u):
-        hxi = None if hx is None or not np.isfinite(hx[i]) else float(hx[i])
-        hyi = None if hy is None or not np.isfinite(hy[i]) else float(hy[i])
-        lines.append(f"{_fmt(float(u))},{_fmt(float(xs[i]))},{_fmt(float(fx[i]))},"
-                     f"{_fmt(float(fy[i]))},{_fmt(hxi)},{_fmt(hyi)},analytic")
+    for source, sf_x, sf_y, hr_x, hr_y in blocks:
+        lines += map(",".join, zip(ux, _column(sf_x, rows), _column(sf_y, rows),
+                                   _column(hr_x, rows, hazard=True),
+                                   _column(hr_y, rows, hazard=True), repeat(source)))
     return "\n".join(lines) + "\n"
 
 
@@ -156,7 +158,10 @@ def _run_comparison(scenario: Scenario, out_dir: Path, output: dict | None = Non
     elif not checks[primary].holds:
         exit_code = 3
 
-    csv_text = _curves_csv(scenario)
+    sf = checks["st"].curves
+    hr = checks["hr"].curves if "hr" in checks else {}
+    csv_text = _csv_text(scenario.grid, [("analytic", sf["X"], sf["Y"],
+                                          hr.get("X"), hr.get("Y"))])
     _write_atomic(csv_path, csv_text)
     _write_atomic(svg_path, render_csv_plot(csv_text))
     report = _report_text(scenario, hyp, checks, exit_code,
@@ -176,20 +181,11 @@ def _cmd_compare(args) -> int:
     return _run_comparison(scenario, _resolve_out_dir(args.out_dir), output)
 
 
-def _sign_flipped_sf(spec: DependentSampleSpec, x: float) -> float:
-    # deliberately wrong combination used only by --inject-sign-flip
-    G = [float(mphr_sf(m, x)) for m in spec.marginals]
-    n = len(G)
-    acc = sum(survival_copula_eval(spec.generator, G[:i] + G[i + 1:]) for i in range(n))
-    return acc + (n - 1) * survival_copula_eval(spec.generator, G)
-
-
 def _cmd_oracle_check(args) -> int:
     if not 2 <= args.n <= 10:
         raise ScenarioError("--n must lie in [2, 10]")
-    closed = _sign_flipped_sf if args.inject_sign_flip else None
     worst = oracle_identity_max_deviation(max_n=args.n, trials=args.trials,
-                                          seed=args.seed, closed_form=closed)
+                                          seed=args.seed)
     ok = worst <= ORACLE_TOLERANCE
     print(f"oracle identity: max |closed form - count oracle| = {worst:.3e} "
           f"over {args.trials} random samples (n <= {args.n}) "
@@ -211,15 +207,9 @@ def _cmd_simulate(args) -> int:
 
     out_dir = _resolve_out_dir(args.out_dir)
     stem = (scenario.name or "scenario") + "_mc"
-    lines = ["u,x,sf_X,sf_Y,hr_X,hr_Y,source"]
-    xs = scenario.grid.x
-    for i, u in enumerate(scenario.grid.u):
-        lines.append(f"{_fmt(float(u))},{_fmt(float(xs[i]))},"
-                     f"{_fmt(float(report.analytic[i]))},,,,analytic")
-    for i, u in enumerate(scenario.grid.u):
-        lines.append(f"{_fmt(float(u))},{_fmt(float(xs[i]))},"
-                     f"{_fmt(float(report.empirical[i]))},,,,mc")
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv_text(scenario.grid,
+                         [("analytic", report.analytic, None, None, None),
+                          ("mc", report.empirical, None, None, None)])
     csv_path = out_dir / output.get("csv", f"{stem}_curves.csv")
     _write_atomic(csv_path, csv_text)
     _write_atomic(out_dir / output.get("svg", f"{stem}_plot.svg"),
@@ -270,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-sign-flip", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("simulate", parents=[shared],

@@ -91,22 +91,18 @@ class McReport:
     algorithm: str = RNG_ALGORITHM
 
 
-def mc_vs_analytic_report(config: SimConfig, analytic_curve=None) -> McReport:
+def mc_vs_analytic_report(config: SimConfig) -> McReport:
     """Largest standardized gap |empirical - analytic| / binomial sigma.
 
     Passes when the gap stays under 4 standard errors everywhere.  Grid
     points where the analytic probability is exactly 0 or 1 contribute only
-    if the empirical value disagrees.  ``analytic_curve`` overrides the
-    product form (fault-injection hook for tests).
+    if the empirical value disagrees.
     """
     rng = np.random.default_rng(config.seed)
     samples = sample_lifetime_matrix(config.marginals, config.replications, rng)
     xs = config.grid.x
     emp = empirical_second_order_sf(samples, xs)
-    if analytic_curve is None:
-        ana = np.asarray(second_order_sf_independent(config.marginals, xs), dtype=float)
-    else:
-        ana = np.asarray(analytic_curve, dtype=float)
+    ana = np.asarray(second_order_sf_independent(config.marginals, xs), dtype=float)
     sigma = np.sqrt(np.clip(ana * (1.0 - ana), 0.0, None) / config.replications)
     diff = np.abs(emp - ana)
     with np.errstate(divide="ignore", invalid="ignore"):

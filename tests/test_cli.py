@@ -6,6 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import ordstat.orderstats
+import ordstat.stochorder
+from ordstat import cli
+from ordstat.copula import survival_copula_eval
+from ordstat.marginals import mphr_sf
 from ordstat.scenarios import example_scenario_document
 from ordstat.svgplot import render_csv_plot
 
@@ -57,6 +62,23 @@ class TestReproduce:
             assert float(row["hr_X"]) <= float(row["hr_Y"]) + 1e-10
         x0_row = [row for row in rows if float(row["x"]) == 0.0]
         assert x0_row and x0_row[0]["hr_X"] == ""
+
+    def test_each_curve_evaluated_once(self, tmp_path, monkeypatch):
+        # count through the names stochorder binds, as the benchmark tracer does
+        calls = {"sf": 0, "hazard": 0}
+        for name in ("second_order_sf_dependent", "second_order_sf_random_n",
+                     "second_order_hazard_dependent", "second_order_hazard_independent"):
+            kind = "sf" if "_sf_" in name else "hazard"
+
+            def counted(*args, _fn=getattr(ordstat.stochorder, name), _kind=kind):
+                calls[_kind] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(ordstat.stochorder, name, counted)
+        assert cli.main(["reproduce", "3", "--out-dir", str(tmp_path),
+                         "--grid-points", "150"]) == 0
+        # st: sf_X, sf_Y; hr: hr_X, hr_Y plus sf_X, sf_Y for the ratio route
+        assert calls == {"sf": 4, "hazard": 2}
 
     @pytest.mark.parametrize("example_id", [2, 4])
     def test_remaining_examples_pass(self, tmp_path, example_id):
@@ -145,10 +167,19 @@ class TestOracleCheck:
         assert r.returncode == 0
         assert "max |closed form - count oracle|" in r.stdout
 
-    def test_sign_flip_injection_detected(self):
-        r = run_cli("oracle-check", "--n", "3", "--trials", "5", "--seed", "1",
-                    "--inject-sign-flip")
-        assert r.returncode != 0
+    def test_sign_flip_injection_detected(self, monkeypatch, capsys):
+        def sign_flipped_sf(spec, x):
+            G = [float(mphr_sf(m, x)) for m in spec.marginals]
+            n = len(G)
+            acc = sum(survival_copula_eval(spec.generator, G[:i] + G[i + 1:])
+                      for i in range(n))
+            return acc + (n - 1) * survival_copula_eval(spec.generator, G)
+
+        monkeypatch.setattr(ordstat.orderstats, "second_order_sf_dependent",
+                            sign_flipped_sf)
+        code = cli.main(["oracle-check", "--n", "3", "--trials", "5", "--seed", "1"])
+        assert code == 3
+        assert "VIOLATION" in capsys.readouterr().out
 
     def test_n_limit(self):
         r = run_cli("oracle-check", "--n", "15", "--trials", "1")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import ordstat.mcsim
 from ordstat import (
     Exponential,
     Grid,
@@ -105,19 +106,23 @@ class TestConcordanceReport:
         assert report.max_std_dev < 4.0
         assert report.algorithm == "PCG64"
 
-    def test_identical_curves_have_zero_deviation(self):
+    def test_identical_curves_have_zero_deviation(self, monkeypatch):
         config = self._config(replications=5000)
         rng = np.random.default_rng(config.seed)
         samples = sample_lifetime_matrix(config.marginals, config.replications, rng)
         emp = empirical_second_order_sf(samples, config.grid.x)
-        report = mc_vs_analytic_report(config, analytic_curve=emp)
+        monkeypatch.setattr(ordstat.mcsim, "second_order_sf_independent",
+                            lambda marginals, xs: emp)
+        report = mc_vs_analytic_report(config)
         assert report.max_std_dev == 0.0
 
-    def test_corrupted_analytic_curve_fails(self):
+    def test_corrupted_analytic_curve_fails(self, monkeypatch):
         config = self._config()
-        shifted = np.asarray(
-            second_order_sf_independent(config.marginals, config.grid.x)) + 0.01
-        report = mc_vs_analytic_report(config, analytic_curve=np.clip(shifted, 0, 1))
+        monkeypatch.setattr(
+            ordstat.mcsim, "second_order_sf_independent",
+            lambda marginals, xs: np.clip(
+                second_order_sf_independent(marginals, xs) + 0.01, 0.0, 1.0))
+        report = mc_vs_analytic_report(config)
         assert not report.passed
 
     def test_reports_are_reproducible(self):

@@ -165,6 +165,11 @@ class TestRandomSampleSize:
             SampleSizeLaw({0: 1.0})
         with pytest.raises(ValueError):
             SampleSizeLaw({2: -0.2, 3: 1.2})
+        # non-integer sizes are rejected, not truncated
+        with pytest.raises(ValueError):
+            SampleSizeLaw({1.5: 1.0})
+        with pytest.raises(ValueError):
+            SampleSizeLaw({2.7: 0.5, 1: 0.5})
         law = SampleSizeLaw([0.05, 0.2, 0.3, 0.45])
         assert law.survival(2) == pytest.approx(0.75)
         assert law.max_support == 4
@@ -295,6 +300,11 @@ class TestMultipleOutlier:
         hz = multiple_outlier_second_order_hazard(spec, 500.0)
         assert np.isfinite(hz)
         assert multiple_outlier_second_order_sf(spec, 500.0) == 0.0
+
+    def test_denominator_check_raises(self):
+        spec = MultipleOutlierSpec(0.3, 1.0, 3.0, 2, 3, EXP)
+        with pytest.raises(FloatingPointError):
+            multiple_outlier_second_order_hazard(spec, np.nan)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
