@@ -72,7 +72,7 @@ class SampleSizeLaw:
 
     def __init__(self, pmf: Mapping[int, float] | Sequence[float]):
         if isinstance(pmf, Mapping):
-            if any(m != int(m) for m in pmf):
+            if any(not math.isfinite(m) or m != int(m) for m in pmf):
                 raise ValueError("sample sizes must be integers >= 1")
             items = sorted((int(m), float(p)) for m, p in pmf.items())
         else:

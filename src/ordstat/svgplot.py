@@ -1,24 +1,25 @@
 """Deterministic SVG rendering of curve CSV files.
 
-The picture is a pure function of the CSV text: re-rendering the written
-CSV reproduces the plot byte for byte.  Survival columns and hazard
-columns each get a panel when present; Monte Carlo rows are drawn dashed.
+The input is the CSV that ``ordstat`` writes: a header line, then rows of
+unquoted comma-separated fields, each as wide as the header.  The picture is
+a pure function of that text: re-rendering the written CSV reproduces the
+plot byte for byte.  Survival columns and hazard columns each get a panel
+when present; an empty cell is skipped and Monte Carlo rows are drawn dashed.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+from itertools import chain
+
+import numpy as np
 
 __all__ = ["render_csv_plot"]
 
 _W, _H = 720, 320
 _ML, _MR, _MT, _MB = 70, 20, 36, 44
 _COLORS = {"X": "#1f77b4", "Y": "#d62728"}
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+_CURVES = (("sf_X", 0), ("sf_Y", 0), ("hr_X", 1), ("hr_Y", 1))
+_TITLES = ("survival functions", "hazard rate functions")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -27,10 +28,10 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def _panel(series: dict[str, list[tuple[float, float]]], title: str,
+def _panel(series: dict[str, tuple[list[float], list[float]]], title: str,
            y_offset: int) -> list[str]:
-    xs = [p[0] for pts in series.values() for p in pts]
-    ys = [p[1] for pts in series.values() for p in pts]
+    xs = list(chain.from_iterable(s[0] for s in series.values()))
+    ys = list(chain.from_iterable(s[1] for s in series.values()))
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     pad = 0.05 * (y_hi - y_lo) or 0.05
@@ -52,26 +53,29 @@ def _panel(series: dict[str, list[tuple[float, float]]], title: str,
     ]
     for t in _ticks(x_lo, x_hi):
         px = sx(t)
-        out.append(f'<line x1="{_fmt(px)}" y1="{y_offset + _H - _MB}" '
-                   f'x2="{_fmt(px)}" y2="{y_offset + _H - _MB + 5}" stroke="#333"/>')
-        out.append(f'<text x="{_fmt(px)}" y="{y_offset + _H - _MB + 18}" '
+        out.append(f'<line x1="{px:.2f}" y1="{y_offset + _H - _MB}" '
+                   f'x2="{px:.2f}" y2="{y_offset + _H - _MB + 5}" stroke="#333"/>')
+        out.append(f'<text x="{px:.2f}" y="{y_offset + _H - _MB + 18}" '
                    f'text-anchor="middle" font-size="11" '
                    f'font-family="monospace">{t:.3g}</text>')
     for t in _ticks(y_lo, y_hi):
         py = sy(t)
-        out.append(f'<line x1="{_ML - 5}" y1="{_fmt(py)}" x2="{_ML}" '
-                   f'y2="{_fmt(py)}" stroke="#333"/>')
-        out.append(f'<text x="{_ML - 8}" y="{_fmt(py)}" text-anchor="end" '
+        out.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" '
+                   f'y2="{py:.2f}" stroke="#333"/>')
+        out.append(f'<text x="{_ML - 8}" y="{py:.2f}" text-anchor="end" '
                    f'dy="4" font-size="11" font-family="monospace">{t:.3g}</text>')
     out.append(f'<text x="{_W // 2}" y="{y_offset + _H - 8}" text-anchor="middle" '
                f'font-size="12" font-family="monospace">x</text>')
 
     legend_y = y_offset + _MT + 16
     for name in sorted(series):
-        pts = sorted(series[name])
+        vx, vy = zip(*sorted(zip(*series[name])))
         color = _COLORS["X" if "_X" in name else "Y"]
         dash = ' stroke-dasharray="6,4"' if "(" in name else ""
-        path = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+        # on arrays sx/sy repeat their scalar float operations, so the
+        # polyline's "%.2f" prints what the ticks' f"{:.2f}" would
+        xy = np.column_stack((sx(np.array(vx)), sy(np.array(vy))))
+        path = " ".join(["%.2f,%.2f"] * len(vx)) % tuple(xy.ravel().tolist())
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
         out.append(f'<line x1="{_W - 170}" y1="{legend_y}" x2="{_W - 140}" '
@@ -84,24 +88,30 @@ def _panel(series: dict[str, list[tuple[float, float]]], title: str,
 
 def render_csv_plot(csv_text: str) -> str:
     """Render the curves CSV (schema u,x,sf_X,sf_Y,hr_X,hr_Y,source) to SVG."""
-    reader = csv.DictReader(io.StringIO(csv_text))
-    sf_series: dict[str, list[tuple[float, float]]] = {}
-    hr_series: dict[str, list[tuple[float, float]]] = {}
-    for row in reader:
-        x = float(row["x"])
-        src = row.get("source", "analytic")
-        suffix = "" if src == "analytic" else f" ({src})"
-        for col, bucket in (("sf_X", sf_series), ("sf_Y", sf_series),
-                            ("hr_X", hr_series), ("hr_Y", hr_series)):
-            raw = row.get(col)
-            if raw:
-                bucket.setdefault(col + suffix, []).append((x, float(raw)))
+    lines = csv_text.splitlines()
+    header = lines[0].split(",") if lines else []
+    rows = (line.split(",") for line in lines[1:] if line)
+    cols = {col[0]: col[1:] for col in zip(header, *rows, strict=True)}
+    x = list(map(float, cols["x"])) if cols else []
+    groups: dict[str, list[int]] = {}
+    for i, src in enumerate(cols.get("source") or ["analytic"] * len(x)):
+        groups.setdefault(src, []).append(i)
 
-    panels = []
-    if sf_series:
-        panels.append(("survival functions", sf_series))
-    if hr_series:
-        panels.append(("hazard rate functions", hr_series))
+    # Series are ordered by their first row, as a row-by-row reader meets
+    # them: with a nan cell, a panel's min/max depend on that order.
+    found = []
+    for order, (col, panel) in enumerate(_CURVES):
+        cells = cols.get(col)
+        for src, rows_of_src in groups.items() if cells else ():
+            idx = [i for i in rows_of_src if cells[i]]
+            if idx:
+                name = col if src == "analytic" else f"{col} ({src})"
+                found.append((idx[0], order, panel, name, [x[i] for i in idx],
+                              [float(cells[i]) for i in idx]))
+    by_panel: tuple[dict, dict] = ({}, {})
+    for *_, panel, name, xs, ys in sorted(found, key=lambda f: f[:2]):
+        by_panel[panel][name] = (xs, ys)
+    panels = [(title, series) for title, series in zip(_TITLES, by_panel) if series]
     if not panels:
         raise ValueError("CSV contains no drawable curve columns")
 

@@ -18,6 +18,9 @@ from ordstat.svgplot import render_csv_plot
 def run_cli(*args, env_extra=None, cwd=None):
     import os
     env = dict(os.environ)
+    # the subprocess imports the same ordstat as these tests
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "ordstat", *map(str, args)],

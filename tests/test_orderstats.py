@@ -170,6 +170,10 @@ class TestRandomSampleSize:
             SampleSizeLaw({1.5: 1.0})
         with pytest.raises(ValueError):
             SampleSizeLaw({2.7: 0.5, 1: 0.5})
+        # so are infinite and NaN sizes, with the same message
+        for size in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="integers >= 1"):
+                SampleSizeLaw({size: 1.0})
         law = SampleSizeLaw([0.05, 0.2, 0.3, 0.45])
         assert law.survival(2) == pytest.approx(0.75)
         assert law.max_support == 4
