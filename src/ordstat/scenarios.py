@@ -155,8 +155,11 @@ def _parse_grid(doc: dict, override: dict | None = None) -> Grid:
     _require_keys(obj, {"u_min", "u_max", "points"}, "grid")
     if override:
         obj.update({k: v for k, v in override.items() if v is not None})
+    points = obj.get("points", 1000)
+    if not isinstance(points, int):
+        raise ScenarioError(f"grid.points must be an integer, got {points!r}")
     try:
-        return Grid.default(points=int(obj.get("points", 1000)),
+        return Grid.default(points=points,
                             u_min=float(obj.get("u_min", 1e-3)),
                             u_max=float(obj.get("u_max", 1.0)))
     except (TypeError, ValueError) as exc:

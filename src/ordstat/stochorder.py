@@ -66,9 +66,10 @@ class Grid:
         u = np.asarray(self.u, dtype=float)
         if u.ndim != 1 or u.size < 50:
             raise ValueError("grid needs at least 50 one-dimensional points")
-        if np.any(u <= 0.0) or np.any(u > 1.0):
+        # written so that a NaN value fails both checks
+        if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("grid values must lie in (0, 1]")
-        if np.any(np.diff(u) <= 0.0):
+        if not np.all(np.diff(u) > 0.0):
             raise ValueError("grid values must be strictly increasing")
         object.__setattr__(self, "u", u)
 

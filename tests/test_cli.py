@@ -159,6 +159,27 @@ class TestCompare:
         r = run_cli("compare", path)
         assert r.returncode == 64
 
+    def test_nan_probability_rejected(self, tmp_path, capsys):
+        doc = small_grid(example_scenario_document(1))
+        doc["n1_pmf"] = [float("nan"), 0.0, 0.0, 1.0]
+        path = tmp_path / "nanpmf.json"
+        path.write_text(json.dumps(doc))  # written as the JSON token NaN
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 64
+        assert "n1_pmf" in capsys.readouterr().err
+
+    def test_fractional_grid_points_rejected(self, tmp_path, capsys):
+        doc = small_grid(example_scenario_document(1))
+        doc["grid"]["points"] = 100.9
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 64
+        assert "grid.points" in capsys.readouterr().err
+
+    def test_nan_u_min_names_the_grid(self, tmp_path, capsys):
+        code = cli.main(["reproduce", "3", "--u-min", "nan", "--out-dir", str(tmp_path)])
+        assert code == 64
+        assert "grid values must lie in (0, 1]" in capsys.readouterr().err
+
     def test_missing_file_exits_64(self, tmp_path):
         r = run_cli("compare", tmp_path / "nope.json")
         assert r.returncode == 64

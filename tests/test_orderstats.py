@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordstat import (
     DependentSampleSpec,
@@ -96,6 +98,48 @@ class TestDependentSurvival:
             assert np.all(np.diff(second_order_sf_dependent(spec, xs)) <= 1e-13)
 
 
+# the four builtin generators
+GENERATORS = st.one_of(
+    st.just(INDEP),
+    st.floats(0.1, 10.0).map(lambda th: builtin_generator("clayton", th)),
+    st.floats(0.01, 1.0).map(lambda th: builtin_generator("exp_tilt", th)),
+    st.floats(0.1, 8.0).map(lambda th: builtin_generator("power_tilt", th)),
+)
+
+
+@st.composite
+def exponential_specs(draw):
+    n = draw(st.integers(2, 8))
+    ms = tuple(MphrMarginal(draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 3.0)), EXP)
+               for _ in range(n))
+    return DependentSampleSpec(ms, draw(GENERATORS))
+
+
+class TestSurvivalTail:
+    @settings(deadline=None)
+    @given(spec=exponential_specs(), where=st.floats(0.0, 1.0))
+    def test_bounded_monotone_and_exact_down_to_1e_280(self, spec, where):
+        # at x_max every marginal survival is still about 1e-280 or more
+        x_max = 640.0 / max(m.lam for m in spec.marginals)
+        sf = second_order_sf_dependent(spec, np.linspace(0.0, x_max, 400))
+        assert np.all((sf >= -1e-12) & (sf <= 1.0 + 1e-12))
+        assert np.all(np.diff(sf) <= 1e-12)
+        x = where * x_max
+        oracle = second_order_sf_from_counts(exceedance_count_distribution(spec, x))
+        assert abs(second_order_sf_dependent(spec, x) - oracle) <= 1e-9 * oracle + 1e-300
+
+    def test_clayton_first_example_far_tail(self):
+        # phi(G_j) spans more than 2^53 here; a total minus one term loses the rest
+        spec = DependentSampleSpec(builtin_example(1).side_x.marginals,
+                                   builtin_generator("clayton", 2.0))
+        oracle = second_order_sf_from_counts(exceedance_count_distribution(spec, 1000.0))
+        closed = second_order_sf_dependent(spec, 1000.0)
+        assert closed == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        sf = second_order_sf_dependent(spec, np.linspace(0.0, 1e4, 2001))
+        assert np.all(np.diff(sf) <= 0.0)
+        assert 0.0 < sf[-1] < 1e-30
+
+
 class TestIndependentSurvival:
     def test_three_homogeneous_units(self):
         ms = (MphrMarginal(1.0, 1.0, EXP),) * 3
@@ -149,7 +193,8 @@ class TestRandomSampleSize:
         spec = random_spec(rng, 3)
         law = SampleSizeLaw([0.2, 0.5, 0.3])
         x = 0.8
-        expected = sum(p * second_order_sf_dependent(spec.prefix(m), x)
+        expected = sum(p * second_order_sf_dependent(
+                           DependentSampleSpec(spec.marginals[:m], spec.generator), x)
                        for m, p in law.pmf)
         assert second_order_sf_random_n(spec, law, x) == pytest.approx(expected, abs=1e-15)
 
@@ -170,6 +215,9 @@ class TestRandomSampleSize:
             SampleSizeLaw({1.5: 1.0})
         with pytest.raises(ValueError):
             SampleSizeLaw({2.7: 0.5, 1: 0.5})
+        # a NaN probability fails both the sign and the sum check
+        with pytest.raises(ValueError, match="nonnegative"):
+            SampleSizeLaw([float("nan"), 1.0])
         # so are infinite and NaN sizes, with the same message
         for size in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="integers >= 1"):
