@@ -17,10 +17,8 @@ from .copula import (
 from .majorization import (
     OrderVerdict,
     cone_membership,
-    generate_majorized_pair,
     lemma_T_monotone,
     majorize_check,
-    schur_condition_check,
     st_order_discrete,
     weak_submajorize_check,
     weak_supermajorize_check,
@@ -42,7 +40,6 @@ from .mcsim import (
     SimConfig,
     empirical_second_order_sf,
     mc_vs_analytic_report,
-    sample_independent_vector,
     sample_lifetime_matrix,
 )
 from .orderstats import (

@@ -184,6 +184,8 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if not 2 <= args.n <= 10:
         raise ScenarioError("--n must lie in [2, 10]")
+    if args.trials < 1:
+        raise ScenarioError("--trials must be at least 1")
     worst = oracle_identity_max_deviation(max_n=args.n, trials=args.trials,
                                           seed=args.seed)
     ok = worst <= ORACLE_TOLERANCE
@@ -226,8 +228,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _grid_override(args) -> dict:
-    return {"points": getattr(args, "grid_points", None),
-            "u_min": getattr(args, "u_min", None)}
+    return {"points": args.grid_points, "u_min": args.u_min}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("oracle-check", parents=[shared],
+    p = sub.add_parser("oracle-check",
                        help="closed form vs subset-enumeration oracle")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--trials", type=int, default=200)

@@ -2,9 +2,10 @@
 
 A generator is the decreasing map psi from [0, inf] onto [0, 1] together
 with its inverse phi.  The joint survival of a coordinate vector u is
-psi(sum phi(u_i)).  Builtin generators are numpy-aware (they accept arrays);
-user generators only need scalar callables, numeric fallbacks cover the
-rest.
+psi(sum phi(u_i)).  Every psi must work elementwise on numpy arrays: the
+closed forms call it on whole rows of grid points.  A user generator may
+omit phi and psi', which then fall back to a numeric inverse (bisection)
+and a numeric derivative (central differences).
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ __all__ = [
 
 # survival coordinates at or below this are treated as exact zeros
 PHI_CLAMP_U = 1e-300
+# relative bracket width at which the numeric inverse stops bisecting
+_INVERSE_TOL = 1e-12
+# largest upward step of psi'/psi still read as log-concave
+_LOG_CONCAVITY_TOL = 1e-9
 
 
-def _numeric_inverse(psi, tol=1e-12):
+def _numeric_inverse(psi):
     """Invert a decreasing psi by bisection, growing the bracket as needed."""
 
     def invert_one(u: float) -> float:
@@ -44,7 +49,7 @@ def _numeric_inverse(psi, tol=1e-12):
             if hi > 1e300:
                 return math.inf
         lo = 0.0
-        while hi - lo > tol * max(1.0, hi):
+        while hi - lo > _INVERSE_TOL * max(1.0, hi):
             mid = 0.5 * (lo + hi)
             if psi(mid) > u:
                 lo = mid
@@ -102,8 +107,7 @@ class ArchimedeanGenerator:
         return f"ArchimedeanGenerator({self.name}{', ' + pars if pars else ''})"
 
 
-def builtin_generator(name: str, theta: float | None = None,
-                      max_dimension: int | None = None) -> ArchimedeanGenerator:
+def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGenerator:
     """Construct one of the shipped generators.
 
     independence        psi(x) = exp(-x), no parameter
@@ -112,7 +116,8 @@ def builtin_generator(name: str, theta: float | None = None,
     clayton             psi(x) = (1+x)^(-1/theta), theta > 0
 
     ``example1`` and ``example2`` are accepted as aliases of exp_tilt and
-    power_tilt for scenario files.
+    power_tilt for scenario files.  Independence admits any dimension; the
+    others keep the default ``max_dimension`` of 16.
     """
     alias = {"example1": "exp_tilt", "example2": "power_tilt"}
     canonical = alias.get(name, name)
@@ -132,8 +137,7 @@ def builtin_generator(name: str, theta: float | None = None,
             return -np.exp(-np.asarray(x, dtype=float))
 
         return ArchimedeanGenerator("independence", psi=psi, phi=phi,
-                                    psi_prime=psi_prime,
-                                    max_dimension=max_dimension or 10**9)
+                                    psi_prime=psi_prime, max_dimension=10**9)
 
     if theta is None:
         raise ValueError(f"generator {name!r} needs a theta parameter")
@@ -192,8 +196,7 @@ def builtin_generator(name: str, theta: float | None = None,
         raise ValueError(f"unknown generator {name!r}")
 
     return ArchimedeanGenerator(canonical, {"theta": th}, psi=psi, phi=phi,
-                                psi_prime=psi_prime,
-                                max_dimension=max_dimension or 16)
+                                psi_prime=psi_prime)
 
 
 def default_generator_grid(g: ArchimedeanGenerator, points: int = 200) -> np.ndarray:
@@ -231,19 +234,18 @@ def _central_derivative(f, x: np.ndarray, order: int, h: float) -> np.ndarray:
     return acc / h**order
 
 
-def check_log_concavity(g: ArchimedeanGenerator, grid: np.ndarray | None = None,
-                        tol: float = 1e-9):
+def check_log_concavity(g: ArchimedeanGenerator, grid: np.ndarray | None = None):
     """True when psi'/psi is non-increasing on the grid.
 
     Returns (flag, worst margin) where the margin is the largest upward step
-    of psi'/psi between consecutive grid points (<= tol means pass).
+    of psi'/psi between consecutive grid points (<= 1e-9 means pass).
     """
     xs = default_generator_grid(g) if grid is None else np.asarray(grid, dtype=float)
     psi_vals = np.asarray(g.psi(xs), dtype=float)
     dpsi = np.asarray(g.psi_prime(xs), dtype=float)
     ratio = dpsi / psi_vals
     worst = float(np.max(np.diff(ratio)))
-    return worst <= tol, worst
+    return worst <= _LOG_CONCAVITY_TOL, worst
 
 
 def validate_generator(g: ArchimedeanGenerator, n: int,

@@ -1,4 +1,4 @@
-"""Vector pre-orders, discrete stochastic order, and Schur-condition probes.
+"""Vector pre-orders, discrete stochastic order, and the ratio lemma.
 
 All order checks work on sorted copies, report the worst slack across the
 defining partial-sum inequalities, and treat anything within 1e-12 of zero
@@ -8,7 +8,6 @@ as satisfied (inputs here are order-one model parameters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,9 +18,6 @@ __all__ = [
     "weak_submajorize_check",
     "cone_membership",
     "st_order_discrete",
-    "generate_majorized_pair",
-    "SchurReport",
-    "schur_condition_check",
     "lemma_T_monotone",
 ]
 
@@ -103,101 +99,6 @@ def st_order_discrete(law1, law2) -> OrderVerdict:
     if worst >= -TOL:
         return OrderVerdict(True, None, worst)
     return OrderVerdict(False, int(np.argmax(margins < -TOL)), worst)
-
-
-def generate_majorized_pair(kind: str, dimension: int, rng: np.random.Generator,
-                            low: float = 0.1, high: float = 3.0):
-    """Random (x, y) with x above y in the requested order, by construction.
-
-    Robin-Hood transfers (move mass from a larger to a smaller component)
-    preserve the sum and only shrink the spread, so the original vector
-    majorizes the transferred one.  The weak variants then subtract
-    nonnegative noise from whichever side keeps the checker satisfied:
-    the left side for weak supermajorization, the right for weak
-    submajorization.  Components stay in [low, high].
-    """
-    if dimension < 2:
-        raise ValueError("dimension must be at least 2")
-    if kind not in ("majorize", "weak_super", "weak_sub"):
-        raise ValueError(f"unknown kind {kind!r}")
-    x = rng.uniform(low, high, dimension)
-    y = x.copy()
-    for _ in range(int(rng.integers(0, 2 * dimension + 1))):
-        i, j = rng.choice(dimension, size=2, replace=False)
-        if y[i] < y[j]:
-            i, j = j, i
-        delta = rng.uniform(0.0, 0.5) * (y[i] - y[j])
-        y[i] -= delta
-        y[j] += delta
-    if kind == "weak_super":
-        x = x - rng.uniform(0.0, 0.5, dimension) * (x - low)
-    elif kind == "weak_sub":
-        y = y - rng.uniform(0.0, 0.5, dimension) * (y - low)
-    return x, y
-
-
-@dataclass(frozen=True)
-class SchurReport:
-    """Worst margins of the sign/ordering patterns of estimated partials.
-
-    weak_super_margin   0 >= f_(1) >= ... >= f_(n)
-    weak_sub_margin     f_(1) >= ... >= f_(n) >= 0
-    increasing_margin   f_(k) increasing in k
-    decreasing_margin   f_(k) decreasing in k
-    A pattern holds at tolerance tol when its margin >= -tol.
-    """
-
-    weak_super_margin: float
-    weak_sub_margin: float
-    increasing_margin: float
-    decreasing_margin: float
-    points_used: int
-
-    def holds(self, pattern: str, tol: float = 1e-8) -> bool:
-        return getattr(self, f"{pattern}_margin") >= -tol
-
-
-def schur_condition_check(f: Callable[[np.ndarray], float], cone: str,
-                          points: Sequence[np.ndarray],
-                          step: float | None = None) -> SchurReport:
-    """Estimate partial derivatives of f at cone points and grade patterns.
-
-    Points outside the requested cone are skipped.  Partials use central
-    differences with per-coordinate step 1e-5 * max(1, |z_k|) unless an
-    explicit step is given.
-    """
-    if cone not in ("D+", "I+"):
-        raise ValueError("cone must be 'D+' or 'I+'")
-    sup, sub, inc, dec = [], [], [], []
-    used = 0
-    for z in points:
-        z = np.asarray(z, dtype=float)
-        if cone_membership(z) not in (cone, "both"):
-            continue
-        used += 1
-        grads = np.empty(z.size)
-        for k in range(z.size):
-            h = step if step is not None else 1e-5 * max(1.0, abs(z[k]))
-            zp, zm = z.copy(), z.copy()
-            zp[k] += h
-            zm[k] -= h
-            grads[k] = (f(zp) - f(zm)) / (2.0 * h)
-        steps = -np.diff(grads)            # f_(k) - f_(k+1)
-        sup.append(min(float(np.min(steps)) if steps.size else np.inf, float(-grads[0])))
-        sub.append(min(float(np.min(steps)) if steps.size else np.inf, float(grads[-1])))
-        if steps.size:
-            inc.append(float(np.min(-steps)))
-            dec.append(float(np.min(steps)))
-    if used == 0:
-        raise ValueError(f"no sample points inside cone {cone}")
-    inf = float("inf")
-    return SchurReport(
-        weak_super_margin=float(min(sup)),
-        weak_sub_margin=float(min(sub)),
-        increasing_margin=float(min(inc)) if inc else inf,
-        decreasing_margin=float(min(dec)) if dec else inf,
-        points_used=used,
-    )
 
 
 def lemma_T_monotone(p: float, grid) -> bool:

@@ -56,8 +56,9 @@ class Weibull:
     family: ClassVar[str] = "weibull"
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"Weibull needs a > 0 and b > 0, got a={self.a}, b={self.b}")
+        # written so that NaN and infinity fail
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise ValueError(f"Weibull needs finite a > 0 and b > 0, got a={self.a}, b={self.b}")
 
     def log_sf(self, x):
         return -np.power(self.a * _as_time(x), self.b)
@@ -88,8 +89,8 @@ class Exponential:
     family: ClassVar[str] = "exponential"
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError(f"Exponential needs rate > 0, got {self.rate}")
+        if not 0.0 < self.rate < np.inf:
+            raise ValueError(f"Exponential needs a finite rate > 0, got {self.rate}")
 
     def log_sf(self, x):
         return -self.rate * _as_time(x)
@@ -125,10 +126,10 @@ class MphrMarginal:
     baseline: Baseline
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
 
 def _tilt_denominator(alpha: float, z):

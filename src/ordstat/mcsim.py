@@ -20,7 +20,6 @@ from .stochorder import Grid
 __all__ = [
     "SimConfig",
     "McReport",
-    "sample_independent_vector",
     "sample_lifetime_matrix",
     "empirical_second_order_sf",
     "mc_vs_analytic_report",
@@ -48,12 +47,6 @@ class SimConfig:
             raise ValueError("replications must be positive")
         if len(self.marginals) < 2:
             raise ValueError("need at least two marginals for a second failure")
-
-
-def sample_independent_vector(marginals: Sequence[MphrMarginal], rng) -> np.ndarray:
-    """One lifetime per marginal by inverse transform of a uniform draw."""
-    u = np.asarray(rng.random(len(marginals)), dtype=float)
-    return np.array([float(mphr_quantile(m, ui)) for m, ui in zip(marginals, u)])
 
 
 def sample_lifetime_matrix(marginals: Sequence[MphrMarginal], replications: int,

@@ -9,6 +9,7 @@ silently change a comparison.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -39,11 +40,25 @@ def _get(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities fail."""
+    # bool is an int subclass; the range test fails NaN, infinities and
+    # integers too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; floats, strings and booleans fail."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _positive(value, where: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+    v = _number(value, where)
     if not v > 0.0:
         raise ScenarioError(f"{where} must be positive, got {v}")
     return v
@@ -76,21 +91,24 @@ def _parse_generator(doc: dict):
     if not isinstance(params, dict):
         raise ScenarioError("generator.params must be an object")
     _require_keys(params, {"theta"}, "generator.params")
+    theta = params.get("theta")
+    if theta is not None:
+        theta = _number(theta, "generator.params.theta")
     try:
-        return builtin_generator(name, params.get("theta"))
+        return builtin_generator(name, theta)
     except ValueError as exc:
         raise ScenarioError(f"generator: {exc}") from None
 
 
 def _as_vector(value, length_hint: int | None, where: str) -> list[float]:
-    if isinstance(value, (int, float)):
-        if length_hint is None:
-            raise ScenarioError(
-                f"{where} is a scalar but the side length cannot be inferred")
-        return [float(value)] * length_hint
-    if isinstance(value, list) and value and all(isinstance(v, (int, float)) for v in value):
-        return [float(v) for v in value]
-    raise ScenarioError(f"{where} must be a number or a non-empty number list")
+    if isinstance(value, list):
+        if not value:
+            raise ScenarioError(f"{where} must be a number or a non-empty number list")
+        return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    v = _number(value, where)
+    if length_hint is None:
+        raise ScenarioError(f"{where} is a scalar but the side length cannot be inferred")
+    return [v] * length_hint
 
 
 def _parse_side(doc: dict, key: str, baseline: Baseline, generator):
@@ -104,16 +122,13 @@ def _parse_side(doc: dict, key: str, baseline: Baseline, generator):
             raise ScenarioError(f"{key}.multiple_outlier must be an object")
         _require_keys(mo, {"alpha", "lambda1", "lambda2", "p", "q"},
                       f"{key}.multiple_outlier")
-        p = mo.get("p")
-        q = mo.get("q")
-        if not (isinstance(p, int) and isinstance(q, int)):
-            raise ScenarioError(f"{key}.multiple_outlier p and q must be integers")
         try:
             return MultipleOutlierSpec(
                 alpha=_positive(_get(mo, "alpha", key), f"{key}.alpha"),
                 lambda_out=_positive(_get(mo, "lambda1", key), f"{key}.lambda1"),
                 lambda_main=_positive(_get(mo, "lambda2", key), f"{key}.lambda2"),
-                p=p, q=q, baseline=baseline)
+                p=_integer(_get(mo, "p", key), f"{key}.p"),
+                q=_integer(_get(mo, "q", key), f"{key}.q"), baseline=baseline)
         except ValueError as exc:
             raise ScenarioError(f"{key}: {exc}") from None
     _require_keys(obj, {"alpha", "lambda"}, key)
@@ -139,10 +154,11 @@ def _parse_law(doc: dict, key: str) -> SampleSizeLaw | None:
     raw = doc.get(key)
     if raw is None:
         return None
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+    if not isinstance(raw, list):
         raise ScenarioError(f"{key} must be a list of probabilities for m = 1..len")
+    probs = [_number(v, f"{key}[{i}]") for i, v in enumerate(raw)]
     try:
-        return SampleSizeLaw([float(v) for v in raw])
+        return SampleSizeLaw(probs)
     except ValueError as exc:
         raise ScenarioError(f"{key}: {exc}") from None
 
@@ -151,18 +167,16 @@ def _parse_grid(doc: dict, override: dict | None = None) -> Grid:
     raw = doc.get("grid") or {}
     if not isinstance(raw, dict):
         raise ScenarioError("grid must be an object")
-    obj = dict(raw)
-    _require_keys(obj, {"u_min", "u_max", "points"}, "grid")
+    _require_keys(raw, {"u_min", "u_max", "points"}, "grid")
+    obj = {"points": _integer(raw.get("points", 1000), "grid.points"),
+           "u_min": _number(raw.get("u_min", 1e-3), "grid.u_min"),
+           "u_max": _number(raw.get("u_max", 1.0), "grid.u_max")}
+    # command-line values arrive typed by argparse
     if override:
         obj.update({k: v for k, v in override.items() if v is not None})
-    points = obj.get("points", 1000)
-    if not isinstance(points, int):
-        raise ScenarioError(f"grid.points must be an integer, got {points!r}")
     try:
-        return Grid.default(points=points,
-                            u_min=float(obj.get("u_min", 1e-3)),
-                            u_max=float(obj.get("u_max", 1.0)))
-    except (TypeError, ValueError) as exc:
+        return Grid.default(**obj)
+    except ValueError as exc:
         raise ScenarioError(f"grid: {exc}") from None
 
 

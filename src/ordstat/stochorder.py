@@ -55,6 +55,13 @@ THEOREM_TAGS = ("thm1", "thm2", "thm3", "thm4", "thm5", "none")
 PRIMARY_CHECK = {"thm1": "st", "thm2": "st", "thm3": "hr", "thm4": "hr",
                  "thm5": "hr", "none": "st"}
 
+# slack allowed below zero: st survival gap, hr hazard gap, hr per-step
+# survival-ratio change (relative), rh cdf-ratio step
+_ST_TOL = 1e-12
+_HR_TOL = 1e-10
+_HR_RATIO_TOL = 1e-9
+_RH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -100,8 +107,7 @@ class DominanceReport:
     routes_agree: bool | None = None
 
 
-def check_st(sf_x: Callable, sf_y: Callable, grid: Grid,
-             tol: float = 1e-12) -> DominanceReport:
+def check_st(sf_x: Callable, sf_y: Callable, grid: Grid) -> DominanceReport:
     """X above Y in the usual stochastic order: sf_X >= sf_Y on the grid."""
     xs = grid.x
     fx = np.asarray(sf_x(xs), dtype=float)
@@ -110,7 +116,7 @@ def check_st(sf_x: Callable, sf_y: Callable, grid: Grid,
     i = int(np.argmin(margins))
     return DominanceReport(
         order="st",
-        holds=bool(margins[i] >= -tol),
+        holds=bool(margins[i] >= -_ST_TOL),
         min_margin=float(margins[i]),
         witness_x=float(xs[i]),
         curves={"x": xs, "X": fx, "Y": fy},
@@ -118,8 +124,7 @@ def check_st(sf_x: Callable, sf_y: Callable, grid: Grid,
 
 
 def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
-             grid: Grid, tol: float = 1e-10,
-             ratio_tol: float = 1e-9) -> DominanceReport:
+             grid: Grid) -> DominanceReport:
     """X above Y in the hazard-rate order.
 
     Route one: hr_X <= hr_Y pointwise (x = 0 excluded).  Route two:
@@ -131,7 +136,7 @@ def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
     hy = np.asarray(hr_y(xs), dtype=float)
     margins = hy - hx
     i = int(np.argmin(margins))
-    hazard_ok = bool(margins[i] >= -tol)
+    hazard_ok = bool(margins[i] >= -_HR_TOL)
 
     order = np.argsort(xs)
     fx = np.asarray(sf_x(xs[order]), dtype=float)
@@ -147,7 +152,7 @@ def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
     scale = np.maximum(1.0, np.maximum(np.abs(ratio[:-1]), np.abs(ratio[1:]))) \
         if steps.size else np.ones(0)
     ratio_margin = float(np.min(steps / scale)) if steps.size else 0.0
-    ratio_ok = ratio_margin >= -ratio_tol
+    ratio_ok = ratio_margin >= -_HR_RATIO_TOL
 
     return DominanceReport(
         order="hr",
@@ -161,8 +166,7 @@ def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
     )
 
 
-def check_rh(cdf_x: Callable, cdf_y: Callable, grid: Grid,
-             tol: float = 1e-9) -> DominanceReport:
+def check_rh(cdf_x: Callable, cdf_y: Callable, grid: Grid) -> DominanceReport:
     """X below Y in the reversed-hazard order: cdf_Y / cdf_X non-decreasing.
 
     Grid points where either cdf is below 1e-12 are dropped before the
@@ -179,7 +183,7 @@ def check_rh(cdf_x: Callable, cdf_y: Callable, grid: Grid,
     i = int(np.argmin(steps))
     return DominanceReport(
         order="rh",
-        holds=bool(steps[i] >= -tol),
+        holds=bool(steps[i] >= -_RH_TOL),
         min_margin=float(steps[i]),
         witness_x=float(xs[i + 1]),
         curves={"x": xs, "X": fx, "Y": fy},
@@ -275,9 +279,10 @@ def _common_cone(u, v) -> tuple[bool, str]:
 def _law_order_condition(sc: Scenario) -> ConditionCheck:
     if sc.law_x is None and sc.law_y is None:
         return ConditionCheck("sample_size_st_order", True, "fixed sample sizes")
-    n = sc.side_x.n if isinstance(sc.side_x, DependentSampleSpec) else 0
-    lx = sc.law_x or SampleSizeLaw({n: 1.0})
-    ly = sc.law_y or SampleSizeLaw({n: 1.0})
+    # a fixed size n is the law that puts all its mass on n
+    fixed = SampleSizeLaw([0.0] * (sc.side_x.n - 1) + [1.0])
+    lx = sc.law_x or fixed
+    ly = sc.law_y or fixed
     v = st_order_discrete(lx, ly)
     return ConditionCheck("sample_size_st_order", v.holds, f"worst margin {v.margin:.3e}")
 

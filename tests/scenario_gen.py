@@ -21,10 +21,40 @@ from ordstat import (
     Scenario,
     Weibull,
     builtin_generator,
-    generate_majorized_pair,
 )
 
 DEFAULT_GRID = Grid.default()
+
+
+def generate_majorized_pair(kind: str, dimension: int, rng: np.random.Generator,
+                            low: float = 0.1, high: float = 3.0):
+    """Random (x, y) with x above y in the requested order, by construction.
+
+    Robin-Hood transfers (move mass from a larger to a smaller component)
+    preserve the sum and only shrink the spread, so the original vector
+    majorizes the transferred one.  The weak variants then subtract
+    nonnegative noise from whichever side keeps the checker satisfied:
+    the left side for weak supermajorization, the right for weak
+    submajorization.  Components stay in [low, high].
+    """
+    if dimension < 2:
+        raise ValueError("dimension must be at least 2")
+    if kind not in ("majorize", "weak_super", "weak_sub"):
+        raise ValueError(f"unknown kind {kind!r}")
+    x = rng.uniform(low, high, dimension)
+    y = x.copy()
+    for _ in range(int(rng.integers(0, 2 * dimension + 1))):
+        i, j = rng.choice(dimension, size=2, replace=False)
+        if y[i] < y[j]:
+            i, j = j, i
+        delta = rng.uniform(0.0, 0.5) * (y[i] - y[j])
+        y[i] -= delta
+        y[j] += delta
+    if kind == "weak_super":
+        x = x - rng.uniform(0.0, 0.5, dimension) * (x - low)
+    elif kind == "weak_sub":
+        y = y - rng.uniform(0.0, 0.5, dimension) * (y - low)
+    return x, y
 
 
 def random_baseline(rng) -> Weibull:
@@ -56,7 +86,7 @@ def random_st_ordered_laws(n: int, rng) -> tuple[SampleSizeLaw, SampleSizeLaw]:
 
 
 def _degenerate(n: int) -> SampleSizeLaw:
-    return SampleSizeLaw({n: 1.0})
+    return SampleSizeLaw([0.0] * (n - 1) + [1.0])
 
 
 def thm1_scenario(rng) -> Scenario:

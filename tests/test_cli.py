@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,28 @@ class TestCompare:
         assert code == 64
         assert "grid values must lie in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("example_id,keys,value,where", [
+        (1, ("baseline", "a"), "1.2", "baseline.a"),
+        (1, ("baseline", "b"), 10**400, "baseline.b"),
+        (1, ("generator", "params", "theta"), "0.1", "generator.params.theta"),
+        (1, ("grid", "u_min"), "0.001", "grid.u_min"),
+        (1, ("n1_pmf",), [False, False, False, True], "n1_pmf"),
+        (4, ("x_side", "multiple_outlier", "p"), True, "x_side.p"),
+        (3, ("x_side", "alpha"), [math.inf, 1 / 3, 1 / 2, 1.0], "x_side.alpha"),
+    ], ids=["string", "int_beyond_float", "string_theta", "string_grid", "bools",
+            "bool_integer", "infinity"])
+    def test_numbers_are_finite_json_numbers(self, tmp_path, capsys, example_id,
+                                             keys, value, where):
+        doc = small_grid(example_scenario_document(example_id))
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))  # math.inf is written as Infinity
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 64
+        assert where in capsys.readouterr().err
+
     def test_missing_file_exits_64(self, tmp_path):
         r = run_cli("compare", tmp_path / "nope.json")
         assert r.returncode == 64
@@ -208,6 +231,16 @@ class TestOracleCheck:
     def test_n_limit(self):
         r = run_cli("oracle-check", "--n", "15", "--trials", "1")
         assert r.returncode == 64
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_must_be_positive(self, capsys, trials):
+        assert cli.main(["oracle-check", "--trials", trials]) == 64
+        assert "--trials" in capsys.readouterr().err
+
+    def test_grid_and_output_options_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle-check", "--out-dir", "x"])
+        assert exc.value.code == 2
 
 
 class TestSimulate:

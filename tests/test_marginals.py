@@ -60,6 +60,13 @@ class TestBaselines:
             Exponential(0.0)
         with pytest.raises(ValueError):
             Weibull(1.0, 1.0).sf(-0.5)
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                Weibull(bad, 1.0)
+            with pytest.raises(ValueError):
+                Weibull(1.0, bad)
+            with pytest.raises(ValueError):
+                Exponential(bad)
 
 
 class TestCdfSf:
@@ -224,4 +231,9 @@ class TestTiltDuality:
             MphrMarginal(0.0, 1.0, EXP)
         with pytest.raises(ValueError):
             MphrMarginal(0.5, 0.0, EXP)
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                MphrMarginal(bad, 1.0, EXP)
+            with pytest.raises(ValueError):
+                MphrMarginal(0.5, bad, EXP)
         MphrMarginal(2.5, 1.0, EXP)  # alpha above 1 is representable

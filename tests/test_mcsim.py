@@ -12,7 +12,6 @@ from ordstat import (
     empirical_second_order_sf,
     mc_vs_analytic_report,
     mphr_cdf,
-    sample_independent_vector,
     sample_lifetime_matrix,
     second_order_sf_independent,
 )
@@ -31,8 +30,8 @@ class _ZeroRng:
 class TestSampling:
     def test_zero_uniforms_give_zero_lifetimes(self):
         ms = (MphrMarginal(0.5, 1.0, EXP), MphrMarginal(0.8, 2.0, Weibull(1.0, 2.0)))
-        draws = sample_independent_vector(ms, _ZeroRng())
-        np.testing.assert_array_equal(draws, [0.0, 0.0])
+        draws = sample_lifetime_matrix(ms, 1, _ZeroRng())
+        np.testing.assert_array_equal(draws, [[0.0, 0.0]])
 
     def test_plain_exponential_mean(self):
         ms = (MphrMarginal(1.0, 1.0, EXP),) * 2

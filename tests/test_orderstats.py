@@ -169,7 +169,7 @@ class TestRandomSampleSize:
     def test_degenerate_law_recovers_fixed_size(self):
         rng = np.random.default_rng(27)
         spec = random_spec(rng, 4)
-        law = SampleSizeLaw({4: 1.0})
+        law = SampleSizeLaw([0.0, 0.0, 0.0, 1.0])
         xs = np.linspace(0.0, 5.0, 20)
         np.testing.assert_allclose(second_order_sf_random_n(spec, law, xs),
                                    second_order_sf_dependent(spec, xs), atol=1e-15)
@@ -207,21 +207,10 @@ class TestRandomSampleSize:
         with pytest.raises(ValueError):
             SampleSizeLaw([0.5, 0.4])
         with pytest.raises(ValueError):
-            SampleSizeLaw({0: 1.0})
-        with pytest.raises(ValueError):
-            SampleSizeLaw({2: -0.2, 3: 1.2})
-        # non-integer sizes are rejected, not truncated
-        with pytest.raises(ValueError):
-            SampleSizeLaw({1.5: 1.0})
-        with pytest.raises(ValueError):
-            SampleSizeLaw({2.7: 0.5, 1: 0.5})
+            SampleSizeLaw([0.0, -0.2, 1.2])
         # a NaN probability fails both the sign and the sum check
         with pytest.raises(ValueError, match="nonnegative"):
             SampleSizeLaw([float("nan"), 1.0])
-        # so are infinite and NaN sizes, with the same message
-        for size in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="integers >= 1"):
-                SampleSizeLaw({size: 1.0})
         law = SampleSizeLaw([0.05, 0.2, 0.3, 0.45])
         assert law.survival(2) == pytest.approx(0.75)
         assert law.max_support == 4
@@ -363,6 +352,11 @@ class TestMultipleOutlier:
             MultipleOutlierSpec(1.2, 0.1, 0.3, 1, 1, EXP)
         with pytest.raises(ValueError):
             MultipleOutlierSpec(0.5, 0.1, 0.3, 0, 1, EXP)
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                MultipleOutlierSpec(0.5, bad, 1.0, 1, 2, EXP)
+            with pytest.raises(ValueError):
+                MultipleOutlierSpec(0.5, 1.0, bad, 1, 2, EXP)
 
 
 class TestExceedanceCounts:
@@ -405,8 +399,9 @@ class TestExceedanceCounts:
 
 class TestSpecValidation:
     def test_dimension_against_generator(self):
-        g = builtin_generator("clayton", 1.0, max_dimension=2)
-        ms = (MphrMarginal(0.5, 1.0, EXP),) * 3
+        # builtins other than independence stop at dimension 16
+        g = builtin_generator("clayton", 1.0)
+        ms = (MphrMarginal(0.5, 1.0, EXP),) * 17
         with pytest.raises(ValueError):
             DependentSampleSpec(ms, g)
 

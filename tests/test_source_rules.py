@@ -18,6 +18,39 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert on lines {lines}; raise an exception instead"
 
 
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _declared_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_exports_are_defined_and_declared():
+    # __all__ names only what its module defines, and the package imports
+    # only names that their module lists in __all__
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    undefined = [f"{mod}.{name}" for mod, tree in trees.items()
+                 for name in _declared_all(tree) if name not in _top_level_names(tree)]
+    assert not undefined, f"__all__ lists names its module does not define: {undefined}"
+    undeclared = [f"{node.module}.{alias.name}" for node in trees["__init__"].body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names
+                  if alias.name not in _declared_all(trees[node.module])]
+    assert not undeclared, f"ordstat/__init__.py imports names outside __all__: {undeclared}"
+
+
 def test_benchmark_tracer_names_exist():
     # the tracer patches these functions by name; a missing one breaks --trace
     spec = importlib.util.spec_from_file_location("_perfbench_tracing",
