@@ -34,34 +34,36 @@ _LOG_CONCAVITY_TOL = 1e-9
 
 
 def _numeric_inverse(psi):
-    """Invert a decreasing psi by bisection, growing the bracket as needed."""
+    """Invert a decreasing psi by bisection, growing the bracket as needed.
 
-    def invert_one(u: float) -> float:
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"phi argument must lie in [0, 1], got {u}")
-        if u <= PHI_CLAMP_U:
-            return math.inf
-        if u >= 1.0:
-            return 0.0
-        hi = 1.0
-        while psi(hi) > u:
-            hi *= 2.0
-            if hi > 1e300:
-                return math.inf
-        lo = 0.0
-        while hi - lo > _INVERSE_TOL * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if psi(mid) > u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    All points bisect together: each psi call takes the points whose bracket
+    is still open, and each point stops by its own width rule.  A bracket
+    that must grow past 1e300 gives inf.
+    """
 
     def phi(u):
-        if np.ndim(u) == 0:
-            return invert_one(float(u))
-        flat = [invert_one(float(v)) for v in np.ravel(u)]
-        return np.asarray(flat, dtype=float).reshape(np.shape(u))
+        u = np.asarray(u, dtype=float)
+        bad = u[~((u >= 0.0) & (u <= 1.0))]
+        if bad.size:
+            raise ValueError(f"phi argument must lie in [0, 1], got {bad[0]}")
+        out = np.where(u >= 1.0, 0.0, math.inf)
+        idx = np.flatnonzero((u > PHI_CLAMP_U) & (u < 1.0))
+        target = u.flat[idx]
+        lo, hi = np.zeros(idx.size), np.ones(idx.size)
+        grow = np.arange(idx.size)
+        while grow.size:
+            grow = grow[psi(hi[grow]) > target[grow]]
+            hi[grow] *= 2.0
+            grow = grow[hi[grow] <= 1e300]
+        bounded = hi <= 1e300
+        live = np.flatnonzero(bounded)
+        while (live := live[hi[live] - lo[live] > _INVERSE_TOL * np.maximum(1.0, hi[live])]).size:
+            mid = 0.5 * (lo[live] + hi[live])
+            above = psi(mid) > target[live]
+            lo[live[above]] = mid[above]
+            hi[live[~above]] = mid[~above]
+        out.flat[idx[bounded]] = 0.5 * (lo + hi)[bounded]
+        return float(out) if out.ndim == 0 else out
 
     return phi
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .copula import ArchimedeanGenerator, builtin_generator, survival_copula_eval
+from .copula import PHI_CLAMP_U, ArchimedeanGenerator, builtin_generator
 from .marginals import Baseline, MphrMarginal, Weibull, mphr_hazard, mphr_sf
 
 __all__ = [
@@ -112,7 +112,9 @@ class MultipleOutlierSpec:
         # written so that NaN and infinity fail
         if not (0.0 < self.lambda_out < math.inf and 0.0 < self.lambda_main < math.inf):
             raise ValueError("block parameters must be positive and finite")
-        if self.p < 1 or self.q < 1 or self.p != int(self.p) or self.q != int(self.q):
+        # bool is an int subclass; a float such as 2.0 or inf is not a size
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                   for v in (self.p, self.q)):
             raise ValueError("block sizes p and q must be integers >= 1")
 
     @property
@@ -324,8 +326,9 @@ def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.nda
 
     Every subset's joint survival is a direct copula evaluation over the
     subset's marginal survivals; the exact-count probabilities follow by
-    Moebius inversion, aggregated by subset size.  Costs 2^n evaluations,
-    so n is capped at 20.
+    Moebius inversion, aggregated by subset size.  Costs one phi call on the
+    n marginal survivals and one psi call on the 2^n subset sums, so n is
+    capped at 20.
     """
     n = spec.n
     if n > 20:
@@ -336,12 +339,25 @@ def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.nda
     if x < 0.0:
         raise ValueError("time must be nonnegative")
     g = spec.generator
-    G = [float(mphr_sf(m, x)) for m in spec.marginals]
+    G = np.array([float(mphr_sf(m, x)) for m in spec.marginals])
+    if not np.all((G >= 0.0) & (G <= 1.0 + 1e-12)):
+        raise ValueError("copula coordinates must lie in [0, 1]")
+    G = np.minimum(G, 1.0)
+    # a subset holding a coordinate at or below the underflow clamp has joint
+    # survival exactly 0: an infinite phi makes its sum non-finite
+    clamped = G <= PHI_CLAMP_U
+    PH = np.where(clamped, math.inf, np.asarray(g.phi(np.where(clamped, 1.0, G)), dtype=float))
 
-    level_sums = np.zeros(n + 1)
-    for mask in range(1 << n):
-        members = [G[j] for j in range(n) if mask >> j & 1]
-        level_sums[len(members)] += survival_copula_eval(g, members)
+    # doubling over the units: entry `mask` belongs to the subset of its bits
+    sums, size = np.zeros(1), np.zeros(1, dtype=np.intp)
+    for j in range(n):
+        sums = np.concatenate((sums, sums + PH[j]))
+        size = np.concatenate((size, size + 1))
+    live = np.isfinite(sums)
+    joint = np.zeros(1 << n)
+    joint[live] = g.psi(sums[live])
+    joint[0] = 1.0
+    level_sums = np.bincount(size, weights=joint, minlength=n + 1)
 
     counts = np.zeros(n + 1)
     for k in range(n + 1):

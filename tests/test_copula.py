@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ordstat import (
     survival_copula_eval,
     validate_generator,
 )
+from ordstat.copula import _INVERSE_TOL, PHI_CLAMP_U
 
 INDEP = builtin_generator("independence")
 EXP_TILT = builtin_generator("exp_tilt", 0.1)
@@ -66,11 +69,89 @@ class TestBuiltins:
             np.testing.assert_allclose(gen.psi_prime(xs), fd, rtol=1e-6, atol=1e-12)
 
 
+def clayton_psi(theta):
+    return lambda x: np.power(1.0 + np.asarray(x, dtype=float), -1.0 / theta)
+
+
+def inverse_by_point(psi):
+    """The scalar reference: bisect each point alone, growing its bracket."""
+
+    def invert_one(u):
+        if not 0.0 <= u <= 1.0:
+            raise ValueError(f"phi argument must lie in [0, 1], got {u}")
+        if u <= PHI_CLAMP_U:
+            return math.inf
+        if u >= 1.0:
+            return 0.0
+        hi = 1.0
+        while psi(hi) > u:
+            hi *= 2.0
+            if hi > 1e300:
+                return math.inf
+        lo = 0.0
+        while hi - lo > _INVERSE_TOL * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if psi(mid) > u:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def phi(u):
+        if np.ndim(u) == 0:
+            return invert_one(float(u))
+        flat = [invert_one(float(v)) for v in np.ravel(u)]
+        return np.asarray(flat, dtype=float).reshape(np.shape(u))
+
+    return phi
+
+
 class TestNumericFallbacks:
     def test_bisection_inverse_round_trip(self):
         g = ArchimedeanGenerator("custom", psi=lambda x: np.exp(-np.asarray(x)))
         us = np.linspace(1e-6, 1.0, 50)
         np.testing.assert_allclose(g.psi(g.phi(us)), us, atol=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 7.0])
+    def test_inverse_equals_scalar_bisection(self, theta):
+        psi = clayton_psi(theta)
+        rng = np.random.default_rng(13)
+        # the log sweep reaches the brackets that give up past 1e300
+        us = np.concatenate(([0.0, 1e-300, 1.0, 1.0 - 1e-12, 1.4e-43],
+                             rng.uniform(0.0, 1.0, 200), np.logspace(-299, 0, 300)))
+        vectorized = ArchimedeanGenerator("custom", psi=psi).phi(us)
+        assert np.array_equal(vectorized, inverse_by_point(psi)(us))
+        assert (vectorized[4] == math.inf) == (theta == 7.0)
+
+    def test_inverse_keeps_shape(self):
+        psi = clayton_psi(2.0)
+        phi, ref = ArchimedeanGenerator("custom", psi=psi).phi, inverse_by_point(psi)
+        for u in (0.3, 1e-300, 1.0):
+            assert type(phi(u)) is float and phi(u) == ref(u)
+        us = np.random.default_rng(14).uniform(0.0, 1.0, (3, 4))
+        for arg in (us, us[0], us[:, :1], np.zeros((0, 2))):
+            got = phi(arg)
+            assert got.shape == np.shape(arg) and np.array_equal(got, ref(arg))
+
+    def test_inverse_rejects_arguments_outside_unit_interval(self):
+        phi = ArchimedeanGenerator("custom", psi=clayton_psi(2.0)).phi
+        for bad in (-0.1, 1.5, np.nan, [0.5, 1.2], [[0.5], [-1e-9]]):
+            with pytest.raises(ValueError):
+                phi(bad)
+
+    def test_inverse_calls_psi_once_per_step_for_all_points(self):
+        calls = 0
+        base = clayton_psi(7.0)
+
+        def psi(x):
+            nonlocal calls
+            calls += 1
+            return base(x)
+
+        ArchimedeanGenerator("custom", psi=psi).phi(np.logspace(-299, 0, 1000))
+        # about 1000 bracket doublings before giving up, then about 40 halvings;
+        # one call per point and step takes about 9e5 here
+        assert calls <= 1100
 
     def test_difference_derivative_fallback(self):
         g = ArchimedeanGenerator("custom", psi=lambda x: np.exp(-np.asarray(x)))

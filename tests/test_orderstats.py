@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordstat import (
+    ArchimedeanGenerator,
     DependentSampleSpec,
     Exponential,
     MphrMarginal,
@@ -17,6 +20,7 @@ from ordstat import (
     multiple_outlier_second_order_hazard,
     multiple_outlier_second_order_sf,
     multiple_outlier_sf_in_x,
+    mphr_sf,
     oracle_identity_max_deviation,
     outlier_marginals,
     second_order_hazard_dependent,
@@ -25,6 +29,7 @@ from ordstat import (
     second_order_sf_from_counts,
     second_order_sf_independent,
     second_order_sf_random_n,
+    survival_copula_eval,
 )
 from ordstat.scenarios import builtin_example
 
@@ -357,6 +362,34 @@ class TestMultipleOutlier:
                 MultipleOutlierSpec(0.5, bad, 1.0, 1, 2, EXP)
             with pytest.raises(ValueError):
                 MultipleOutlierSpec(0.5, 1.0, bad, 1, 2, EXP)
+        for bad in (float("inf"), float("nan"), 2.0, True):
+            with pytest.raises(ValueError):
+                MultipleOutlierSpec(0.5, 1.0, 2.0, bad, 2, EXP)
+            with pytest.raises(ValueError):
+                MultipleOutlierSpec(0.5, 1.0, 2.0, 2, bad, EXP)
+
+
+def counts_by_subsets(spec, x):
+    """The reference oracle: one survival_copula_eval per subset mask."""
+    n = spec.n
+    G = [float(mphr_sf(m, x)) for m in spec.marginals]
+    level_sums = np.zeros(n + 1)
+    for mask in range(1 << n):
+        members = [G[j] for j in range(n) if mask >> j & 1]
+        level_sums[len(members)] += survival_copula_eval(spec.generator, members)
+    return np.array([math.fsum((-1.0) ** (j - k) * math.comb(j, k) * level_sums[j]
+                               for j in range(k, n + 1)) for k in range(n + 1)])
+
+
+def custom_clayton(theta):
+    """Clayton psi alone, so phi falls back to the numeric inverse."""
+    return ArchimedeanGenerator("custom_clayton", psi=lambda t: np.power(
+        1.0 + np.asarray(t, dtype=float), -1.0 / theta))
+
+
+ORACLE_GENERATORS = [INDEP, builtin_generator("exp_tilt", 0.3),
+                     builtin_generator("power_tilt", 3.0), builtin_generator("clayton", 2.0),
+                     custom_clayton(2.0)]
 
 
 class TestExceedanceCounts:
@@ -381,6 +414,51 @@ class TestExceedanceCounts:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             exceedance_count_distribution(iid_exp_spec(21), 1.0)
+
+    def test_scalar_x_guard(self):
+        for x in ([1.0], np.array([0.5, 1.0])):
+            with pytest.raises(ValueError):
+                exceedance_count_distribution(iid_exp_spec(2), x)
+
+    @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
+    def test_matches_per_subset_loop(self, gen):
+        rng = np.random.default_rng(37)
+        for n in range(1, 11):
+            spec = random_spec(rng, n, generator=gen)
+            x = float(rng.uniform(0.05, 3.0))
+            got = exceedance_count_distribution(spec, x)
+            want = counts_by_subsets(spec, x)
+            if n <= 7:
+                # np.sum adds up to 7 terms left to right, as the doubling does
+                assert np.array_equal(got, want)
+            else:
+                # np.sum adds 8 or more terms in 8 partial sums, so a subset's psi
+                # may move by an ulp; inversion weighs level j by C(j, k), and
+                # sum_j C(j, k) C(n, j) <= 3^n
+                np.testing.assert_allclose(got, want, rtol=0.0,
+                                           atol=3.0**n * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
+    def test_matches_per_subset_loop_at_clamped_coordinate(self, gen):
+        # the lam = 2000 unit's survival underflows to 0 at x = 1
+        ms = tuple(MphrMarginal(a, lam, EXP) for a, lam in
+                   ((0.5, 1.0), (0.3, 2000.0), (0.8, 0.3), (1.0, 2.0)))
+        spec = DependentSampleSpec(ms, gen)
+        assert float(mphr_sf(ms[1], 1.0)) <= 1e-300
+        got = exceedance_count_distribution(spec, 1.0)
+        assert np.array_equal(got, counts_by_subsets(spec, 1.0))
+        assert got[-1] == 0.0 and got[-2] > 0.0
+
+    @pytest.mark.parametrize("gen", [builtin_generator("clayton", 8.0), custom_clayton(8.0)],
+                             ids=["clayton", "custom"])
+    def test_matches_per_subset_loop_at_infinite_phi_sum(self, gen):
+        # each phi(G) is about 1.5e308, so every pair of units sums to inf; the
+        # numeric inverse gives up past 1e300 and returns inf for each unit
+        spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP),) * 3, gen)
+        with np.errstate(over="ignore"):
+            got = exceedance_count_distribution(spec, 88.7)
+            want = counts_by_subsets(spec, 88.7)
+        assert np.array_equal(got, want)
 
     def test_oracle_identity_randomized(self):
         worst = oracle_identity_max_deviation(max_n=5, trials=60, seed=99)
