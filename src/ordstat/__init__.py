@@ -8,11 +8,9 @@ cross-checks, and a scenario-driven CLI.
 
 from .copula import (
     ArchimedeanGenerator,
-    GeneratorDiagnostics,
     builtin_generator,
     check_log_concavity,
     survival_copula_eval,
-    validate_generator,
 )
 from .majorization import (
     OrderVerdict,

@@ -1,4 +1,4 @@
-"""Archimedean survival copulas: generators, diagnostics, evaluation.
+"""Archimedean survival copulas: generators, log-concavity check, evaluation.
 
 A generator is the decreasing map psi from [0, inf] onto [0, 1] together
 with its inverse phi.  The joint survival of a coordinate vector u is
@@ -11,18 +11,14 @@ and a numeric derivative (central differences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ArchimedeanGenerator",
-    "GeneratorDiagnostics",
     "builtin_generator",
-    "validate_generator",
     "check_log_concavity",
     "survival_copula_eval",
-    "default_generator_grid",
 ]
 
 # survival coordinates at or below this are treated as exact zeros
@@ -201,128 +197,21 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
                                 psi_prime=psi_prime)
 
 
-def default_generator_grid(g: ArchimedeanGenerator, points: int = 200) -> np.ndarray:
-    """Uniform grid on (0, x_max] with x_max = phi(1e-6)."""
+def check_log_concavity(g: ArchimedeanGenerator):
+    """True when psi'/psi is non-increasing on 200 points up to phi(1e-6).
+
+    Returns (flag, worst margin), the largest upward step of psi'/psi between
+    grid points; the grid ends at 50 where phi(1e-6) is not finite and positive.
+    """
     x_max = float(g.phi(1e-6))
     if not math.isfinite(x_max) or x_max <= 0.0:
         x_max = 50.0
-    return np.linspace(x_max / points, x_max, points)
-
-
-@dataclass
-class GeneratorDiagnostics:
-    """Numeric checks of the generator conditions on a grid.
-
-    ``margins`` holds the worst slack per named check; a check passed when
-    its margin is on the safe side of zero (sign conventions are documented
-    per entry in validate_generator).  Derivative-sign margins exist for
-    both psi and phi since the two formulations circulate.
-    """
-
-    is_decreasing: bool
-    is_convex: bool
-    is_log_concave: bool
-    d_monotone_up_to: int
-    grid: np.ndarray
-    margins: dict = field(default_factory=dict)
-
-
-def _central_derivative(f, x: np.ndarray, order: int, h: float) -> np.ndarray:
-    """k-th central difference; callers keep x - order*h/2 >= 0."""
-    acc = np.zeros_like(x)
-    for j in range(order + 1):
-        acc += (-1.0) ** j * math.comb(order, j) * np.asarray(
-            f(x + (order / 2.0 - j) * h), dtype=float)
-    return acc / h**order
-
-
-def check_log_concavity(g: ArchimedeanGenerator, grid: np.ndarray | None = None):
-    """True when psi'/psi is non-increasing on the grid.
-
-    Returns (flag, worst margin) where the margin is the largest upward step
-    of psi'/psi between consecutive grid points (<= 1e-9 means pass).
-    """
-    xs = default_generator_grid(g) if grid is None else np.asarray(grid, dtype=float)
+    xs = np.linspace(x_max / 200, x_max, 200)
     psi_vals = np.asarray(g.psi(xs), dtype=float)
     dpsi = np.asarray(g.psi_prime(xs), dtype=float)
     ratio = dpsi / psi_vals
     worst = float(np.max(np.diff(ratio)))
     return worst <= _LOG_CONCAVITY_TOL, worst
-
-
-def validate_generator(g: ArchimedeanGenerator, n: int,
-                       grid: np.ndarray | None = None) -> GeneratorDiagnostics:
-    """Report-only numeric verification of the generator conditions up to
-    dimension ``n``.
-
-    Margins (pass direction in brackets):
-      psi_decreasing   largest upward step of psi            [<= 0]
-      psi_convexity    smallest second difference of psi     [>= 0]
-      log_concavity    largest upward step of psi'/psi       [<= 0]
-      psi_order_k      min over grid of (-1)^k psi^(k), scaled by its max
-                       magnitude, k = 2..n                   [>= 0]
-      phi_order_k      same for phi on a u-grid, k = 2..max(n-2, 2)
-    Higher-order differences are ill conditioned, so order margins use a
-    loose relative tolerance and are reported, never enforced.
-    """
-    if n < 2:
-        raise ValueError("dimension n must be at least 2")
-    xs = default_generator_grid(g) if grid is None else np.asarray(grid, dtype=float)
-    if xs.size < 100:
-        raise ValueError("validation grid needs at least 100 points")
-    eps = 1e-12
-    loose = 1e-4
-
-    psi_vals = np.asarray(g.psi(xs), dtype=float)
-    margins: dict[str, float] = {}
-
-    margins["psi_decreasing"] = float(np.max(np.diff(psi_vals)))
-    is_decreasing = margins["psi_decreasing"] <= eps
-
-    second = psi_vals[2:] - 2.0 * psi_vals[1:-1] + psi_vals[:-2]
-    margins["psi_convexity"] = float(np.min(second))
-    is_convex = margins["psi_convexity"] >= -eps
-
-    is_log_concave, lc_margin = check_log_concavity(g, xs)
-    margins["log_concavity"] = lc_margin
-
-    # alternating derivative signs for psi; for smooth psi, d-monotonicity
-    # reduces to these sign conditions through order d
-    x_hi = float(xs[-1])
-    h = x_hi / 100.0
-    order_ok: dict[int, bool] = {0: bool(np.all(psi_vals >= -eps)), 1: is_decreasing}
-    for k in range(2, n + 1):
-        pts = xs[xs - k * h / 2.0 >= 0.0]
-        vals = _central_derivative(g.psi, pts, k, h)
-        signed = (-1.0) ** k * vals
-        scale = max(float(np.max(np.abs(vals))), 1e-30)
-        margins[f"psi_order_{k}"] = float(np.min(signed)) / scale
-        order_ok[k] = margins[f"psi_order_{k}"] >= -loose
-
-    d_monotone = 1
-    for d in range(2, n + 1):
-        if all(order_ok[k] for k in range(0, d + 1)):
-            d_monotone = d
-        else:
-            break
-
-    # phi-side alternating signs on a rescaled u-grid
-    us = np.linspace(0.02, 0.98, 97)
-    hu = 0.005
-    for k in range(2, max(n - 2, 2) + 1):
-        vals = _central_derivative(g.phi, us, k, hu)
-        signed = (-1.0) ** k * vals
-        scale = max(float(np.max(np.abs(vals))), 1e-30)
-        margins[f"phi_order_{k}"] = float(np.min(signed)) / scale
-
-    return GeneratorDiagnostics(
-        is_decreasing=is_decreasing,
-        is_convex=is_convex,
-        is_log_concave=is_log_concave,
-        d_monotone_up_to=d_monotone,
-        grid=xs,
-        margins=margins,
-    )
 
 
 def survival_copula_eval(g: ArchimedeanGenerator, u) -> float:

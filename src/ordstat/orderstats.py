@@ -211,13 +211,10 @@ def second_order_hazard_dependent(spec: DependentSampleSpec, x):
     total = PH.sum(axis=0)
     wsum = W.sum(axis=0)
     sf_prime = np.zeros_like(total)
-    sf = np.zeros_like(total)
     for excl, w_excl in zip(_leave_one_out(np.add, PH), _leave_one_out(np.add, W)):
-        sf += np.asarray(g.psi(excl), dtype=float)
         sf_prime += np.asarray(g.psi_prime(excl), dtype=float) * w_excl
     sf_prime -= (n - 1) * np.asarray(g.psi_prime(total), dtype=float) * wsum
-    sf -= (n - 1) * np.asarray(g.psi(total), dtype=float)
-    return _unwrap(-sf_prime / sf, x)
+    return _unwrap(-sf_prime / _coupled_sf(g, PH), x)
 
 
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
@@ -268,7 +265,7 @@ def _outlier_pieces(spec: MultipleOutlierSpec, t):
     log_alpha = np.log(spec.alpha)
     log_b1 = spec.lambda_out * ts + np.log1p(-abar * em1) - log_alpha
     log_b2 = spec.lambda_main * ts + np.log1p(-abar * em2) - log_alpha
-    return ts, a1, a2, log_b1, log_b2
+    return a1, a2, log_b1, log_b2
 
 
 def _outlier_scaled_odds(spec: MultipleOutlierSpec, log_b1, log_b2):
@@ -282,7 +279,7 @@ def _outlier_scaled_odds(spec: MultipleOutlierSpec, log_b1, log_b2):
 
 def multiple_outlier_second_order_sf(spec: MultipleOutlierSpec, t):
     """Survival of the two-block second-order statistic in the t scale."""
-    _, _, _, log_b1, log_b2 = _outlier_pieces(spec, t)
+    _, _, log_b1, log_b2 = _outlier_pieces(spec, t)
     p, q = spec.p, spec.q
     r1, r2, c, log_bmax = _outlier_scaled_odds(spec, log_b1, log_b2)
     log_sf = (-(p * log_b1 + q * log_b2) + log_bmax
@@ -297,7 +294,7 @@ def multiple_outlier_second_order_hazard(spec: MultipleOutlierSpec, t):
     the two block rates; b_i >= 1 keeps the denominator above zero.  Both
     sides are rescaled by the largest odds before the ratio is formed.
     """
-    _, a1, a2, log_b1, log_b2 = _outlier_pieces(spec, t)
+    a1, a2, log_b1, log_b2 = _outlier_pieces(spec, t)
     p, q = spec.p, spec.q
     A1 = (p - 1) * a1 + q * a2
     A2 = p * a1 + (q - 1) * a2

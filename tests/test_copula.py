@@ -8,7 +8,6 @@ from ordstat import (
     builtin_generator,
     check_log_concavity,
     survival_copula_eval,
-    validate_generator,
 )
 from ordstat.copula import _INVERSE_TOL, PHI_CLAMP_U
 
@@ -206,38 +205,6 @@ class TestEvaluation:
             survival_copula_eval(INDEP, [0.5, 1.2])
         with pytest.raises(ValueError):
             survival_copula_eval(INDEP, [-0.1])
-
-
-class TestDiagnostics:
-    def test_independence_passes_all_checks(self):
-        d = validate_generator(INDEP, 4)
-        assert d.is_decreasing and d.is_convex and d.is_log_concave
-        assert d.d_monotone_up_to == 4
-
-    def test_exp_tilt_passes_at_dimension_four(self):
-        d = validate_generator(EXP_TILT, 4)
-        assert d.is_decreasing and d.is_convex and d.is_log_concave
-        assert d.d_monotone_up_to == 4
-        assert d.margins["phi_order_2"] >= -1e-4
-
-    def test_power_tilt_decreasing_convex(self):
-        d = validate_generator(POWER_TILT, 4)
-        assert d.is_decreasing and d.is_convex and d.is_log_concave
-
-    def test_concave_generator_flagged(self):
-        # decreasing but concave on its support: convexity must fail
-        def psi(x):
-            x = np.asarray(x, dtype=float)
-            return np.clip(1.0 - x**2, 0.0, 1.0)
-
-        g = ArchimedeanGenerator("concave-control", psi=psi)
-        d = validate_generator(g, 2, grid=np.linspace(0.005, 0.9, 150))
-        assert d.is_decreasing
-        assert not d.is_convex
-
-    def test_grid_size_guard(self):
-        with pytest.raises(ValueError):
-            validate_generator(INDEP, 3, grid=np.linspace(0.1, 1.0, 20))
 
 
 class TestLogConcavity:

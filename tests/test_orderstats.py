@@ -460,6 +460,20 @@ class TestExceedanceCounts:
             want = counts_by_subsets(spec, 88.7)
         assert np.array_equal(got, want)
 
+    def test_negative_counts_expose_non_copula_generator(self):
+        # psi(sum phi) is an n-copula iff psi is n-monotone (McNeil & Neslehova
+        # 2009), so a negative count probability proves psi is not n-monotone
+        def lowest(side, grid):
+            return min(exceedance_count_distribution(side, float(x)).min() for x in grid.x)
+
+        paper = builtin_example(1)  # exp_tilt(0.1), n = 4
+        assert lowest(paper.side_x, paper.grid) >= -1e-12
+        assert lowest(paper.side_y, paper.grid) >= -1e-12
+        # power_tilt(7) is not 4-monotone: about -0.114 and -0.122
+        bad = builtin_example(2)
+        assert lowest(bad.side_x, bad.grid) < -0.1
+        assert lowest(bad.side_y, bad.grid) < -0.1
+
     def test_oracle_identity_randomized(self):
         worst = oracle_identity_max_deviation(max_n=5, trials=60, seed=99)
         assert worst <= 1e-10

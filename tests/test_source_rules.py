@@ -61,3 +61,18 @@ def test_benchmark_tracer_names_exist():
                for name in names
                if not hasattr(importlib.import_module(f"ordstat.{home}"), name)]
     assert not missing, f"perfbench/tracing.py traces missing functions: {missing}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # a deletion that leaves its import behind keeps a dead dependency;
+    # __init__.py imports only to re-export
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{path.name}: unused imports {sorted(imported - used)}"
