@@ -13,11 +13,12 @@ or concordance failure, 64 malformed scenario/configuration.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .mcsim import SimConfig, mc_vs_analytic_report
 from .orderstats import DependentSampleSpec, oracle_identity_max_deviation
@@ -38,7 +39,7 @@ from .stochorder import (
     scenario_survival_functions,
     validate_theorem,
 )
-from .svgplot import render_csv_plot
+from .svgplot import render_curve_plot
 
 ORACLE_TOLERANCE = 1e-10
 
@@ -50,6 +51,11 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _cells(vals: list) -> list[str]:
+    """``vals`` at 17 significant digits, formatted in one call."""
+    return ("%.17g\n" * len(vals) % tuple(vals)).split("\n")[:-1]
+
+
 def _column(values, rows: int, hazard: bool = False) -> list[str]:
     """``rows`` CSV cells holding ``values`` at 17 significant digits.
 
@@ -59,11 +65,10 @@ def _column(values, rows: int, hazard: bool = False) -> list[str]:
     """
     if values is None:
         return [""] * rows
-    vals = values.tolist()
+    cells = _cells(values.tolist())
     if hazard:
-        cells = [f"{v:.17g}" if math.isfinite(v) else "" for v in vals]
-    else:
-        cells = [f"{v:.17g}" for v in vals]
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            cells[i] = ""
     return cells + [""] * (rows - len(cells))
 
 
@@ -76,7 +81,7 @@ def _csv_text(grid: Grid, blocks) -> str:
     survival-only comparisons) and non-finite values from an actual zero.
     """
     rows = grid.u.size
-    ux = [f"{u:.17g},{x:.17g}" for u, x in zip(grid.u.tolist(), grid.x.tolist())]
+    ux = list(map(",".join, zip(_cells(grid.u.tolist()), _cells(grid.x.tolist()))))
     lines = ["u,x,sf_X,sf_Y,hr_X,hr_Y,source"]
     for source, sf_x, sf_y, hr_x, hr_y in blocks:
         lines += map(",".join, zip(ux, _column(sf_x, rows), _column(sf_y, rows),
@@ -124,6 +129,9 @@ def _report_text(scenario: Scenario, hyp, checks: dict[str, DominanceReport],
             if not rep.routes_agree:
                 lines.append("         WARNING: the two hazard-order routes disagree "
                              "(numerical instability)")
+        if rep.skipped:
+            lines.append("         points skipped by the hazard route (a survival "
+                         f"is 0): {rep.skipped}")
     lines.append("")
     lines.append(f"verdict: {'PASS' if exit_code == 0 else 'FAIL'} (exit {exit_code})")
     if files:
@@ -160,10 +168,9 @@ def _run_comparison(scenario: Scenario, out_dir: Path, output: dict | None = Non
 
     sf = checks["st"].curves
     hr = checks["hr"].curves if "hr" in checks else {}
-    csv_text = _csv_text(scenario.grid, [("analytic", sf["X"], sf["Y"],
-                                          hr.get("X"), hr.get("Y"))])
-    _write_atomic(csv_path, csv_text)
-    _write_atomic(svg_path, render_csv_plot(csv_text))
+    blocks = [("analytic", sf["X"], sf["Y"], hr.get("X"), hr.get("Y"))]
+    _write_atomic(csv_path, _csv_text(scenario.grid, blocks))
+    _write_atomic(svg_path, render_curve_plot(scenario.grid.x, blocks))
     report = _report_text(scenario, hyp, checks, exit_code,
                           [csv_path, svg_path, report_path])
     _write_atomic(report_path, report)
@@ -209,13 +216,12 @@ def _cmd_simulate(args) -> int:
 
     out_dir = _resolve_out_dir(args.out_dir)
     stem = (scenario.name or "scenario") + "_mc"
-    csv_text = _csv_text(scenario.grid,
-                         [("analytic", report.analytic, None, None, None),
-                          ("mc", report.empirical, None, None, None)])
-    csv_path = out_dir / output.get("csv", f"{stem}_curves.csv")
-    _write_atomic(csv_path, csv_text)
+    blocks = [("analytic", report.analytic, None, None, None),
+              ("mc", report.empirical, None, None, None)]
+    _write_atomic(out_dir / output.get("csv", f"{stem}_curves.csv"),
+                  _csv_text(scenario.grid, blocks))
     _write_atomic(out_dir / output.get("svg", f"{stem}_plot.svg"),
-                  render_csv_plot(csv_text))
+                  render_curve_plot(scenario.grid.x, blocks))
     verdict = "PASS" if report.passed else "FAIL"
     text = (f"scenario: {scenario.name}\n"
             f"replications: {report.replications}  seed: {report.seed}  "

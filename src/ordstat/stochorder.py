@@ -105,6 +105,7 @@ class DominanceReport:
     ratio_margin: float | None = None
     ratio_holds: bool | None = None
     routes_agree: bool | None = None
+    skipped: int = 0
 
 
 def check_st(sf_x: Callable, sf_y: Callable, grid: Grid) -> DominanceReport:
@@ -127,20 +128,26 @@ def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
              grid: Grid) -> DominanceReport:
     """X above Y in the hazard-rate order.
 
-    Route one: hr_X <= hr_Y pointwise (x = 0 excluded).  Route two:
-    sf_X / sf_Y non-decreasing in x.  The verdict requires both; a split
-    decision clears routes_agree so callers can flag instability.
+    Route one: hr_X <= hr_Y pointwise (x = 0 excluded), at the points where
+    both survivals are positive; past the underflow of a survival its hazard
+    is 0/0, and ``skipped`` counts those points.  Route two: sf_X / sf_Y
+    non-decreasing in x.  The verdict requires both; a split decision clears
+    routes_agree so callers can flag instability.
     """
     xs = grid.positive_x
     hx = np.asarray(hr_x(xs), dtype=float)
     hy = np.asarray(hr_y(xs), dtype=float)
-    margins = hy - hx
-    i = int(np.argmin(margins))
-    hazard_ok = bool(margins[i] >= -_HR_TOL)
 
     order = np.argsort(xs)
     fx = np.asarray(sf_x(xs[order]), dtype=float)
     fy = np.asarray(sf_y(xs[order]), dtype=float)
+    live = np.empty(xs.size, dtype=bool)
+    live[order] = (fx > 0.0) & (fy > 0.0)
+    # a NaN margin at a live point is the minimum argmin finds, and fails
+    margins = np.where(live, hy - hx, np.inf)
+    i = int(np.argmin(margins))
+    hazard_ok = bool(margins[i] >= -_HR_TOL)
+
     # the ratio says nothing once a survival leaves normal double range
     # (subnormals quantize the quotient); those points are still covered by
     # the pointwise hazard route
@@ -163,6 +170,7 @@ def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
         ratio_margin=ratio_margin,
         ratio_holds=ratio_ok,
         routes_agree=hazard_ok == ratio_ok,
+        skipped=int(xs.size - np.count_nonzero(live)),
     )
 
 

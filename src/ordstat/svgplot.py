@@ -1,10 +1,12 @@
-"""Deterministic SVG rendering of curve CSV files.
+"""Deterministic SVG rendering of the curves ``ordstat`` writes.
 
-The input is the CSV that ``ordstat`` writes: a header line, then rows of
-unquoted comma-separated fields, each as wide as the header.  The picture is
-a pure function of that text: re-rendering the written CSV reproduces the
-plot byte for byte.  Survival columns and hazard columns each get a panel
-when present; an empty cell is skipped and Monte Carlo rows are drawn dashed.
+``render_csv_plot`` reads a curves CSV: a header line, then rows of unquoted
+comma-separated fields, each as wide as the header.  ``render_curve_plot``
+takes the arrays that CSV is printed from and draws the same picture without
+printing and re-parsing them; the CLI draws with it, so rendering the
+written CSV reproduces the written plot byte for byte.  Survival columns and
+hazard columns each get a panel when present; an empty cell is skipped and
+Monte Carlo rows are drawn dashed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = ["render_csv_plot"]
+__all__ = ["render_csv_plot", "render_curve_plot"]
 
 _W, _H = 720, 320
 _ML, _MR, _MT, _MB = 70, 20, 36, 44
@@ -86,8 +88,8 @@ def _panel(series: dict[str, tuple[list[float], list[float]]], title: str,
     return out
 
 
-def render_csv_plot(csv_text: str) -> str:
-    """Render the curves CSV (schema u,x,sf_X,sf_Y,hr_X,hr_Y,source) to SVG."""
+def _csv_series(csv_text: str) -> list[tuple]:
+    """The drawable series of a curves CSV, as ``_document`` takes them."""
     lines = csv_text.splitlines()
     header = lines[0].split(",") if lines else []
     rows = (line.split(",") for line in lines[1:] if line)
@@ -97,17 +99,48 @@ def render_csv_plot(csv_text: str) -> str:
     for i, src in enumerate(cols.get("source") or ["analytic"] * len(x)):
         groups.setdefault(src, []).append(i)
 
-    # Series are ordered by their first row, as a row-by-row reader meets
-    # them: with a nan cell, a panel's min/max depend on that order.
     found = []
     for order, (col, panel) in enumerate(_CURVES):
         cells = cols.get(col)
         for src, rows_of_src in groups.items() if cells else ():
             idx = [i for i in rows_of_src if cells[i]]
             if idx:
-                name = col if src == "analytic" else f"{col} ({src})"
-                found.append((idx[0], order, panel, name, [x[i] for i in idx],
+                found.append((idx[0], order, panel, _name(col, src), [x[i] for i in idx],
                               [float(cells[i]) for i in idx]))
+    return found
+
+
+def _block_series(x: np.ndarray, blocks) -> list[tuple]:
+    """The series ``_csv_series`` finds in the CSV that ``cli`` writes for
+    ``blocks``, read from the arrays themselves.
+
+    A block is (source, sf_X, sf_Y, hr_X, hr_Y) with the rows of ``x``, one
+    block after another; ``None`` is an empty column and an array shorter
+    than ``x`` leaves its last rows empty.  Every survival value is drawn,
+    NaN included; a hazard value only where it is finite.  Sources are
+    distinct.
+    """
+    found = []
+    for b, (source, *curves) in enumerate(blocks):
+        for order, ((col, panel), values) in enumerate(zip(_CURVES, curves)):
+            if values is None:
+                continue
+            rows = np.arange(values.size)
+            if panel:
+                rows = rows[np.isfinite(values)]
+            if rows.size:
+                found.append((b * x.size + int(rows[0]), order, panel, _name(col, source),
+                              x[rows].tolist(), values[rows].tolist()))
+    return found
+
+
+def _name(col: str, source: str) -> str:
+    return col if source == "analytic" else f"{col} ({source})"
+
+
+def _document(found: list[tuple]) -> str:
+    # Series are ordered by their first row, as a row-by-row reader meets
+    # them: with a nan cell, a panel's min/max depend on that order.
     by_panel: tuple[dict, dict] = ({}, {})
     for *_, panel, name, xs, ys in sorted(found, key=lambda f: f[:2]):
         by_panel[panel][name] = (xs, ys)
@@ -124,3 +157,14 @@ def render_csv_plot(csv_text: str) -> str:
         f'viewBox="0 0 {_W} {height}">\n<rect width="{_W}" height="{height}" '
         f'fill="white"/>\n' + "\n".join(body) + "\n</svg>\n"
     )
+
+
+def render_csv_plot(csv_text: str) -> str:
+    """Render the curves CSV (schema u,x,sf_X,sf_Y,hr_X,hr_Y,source) to SVG."""
+    return _document(_csv_series(csv_text))
+
+
+def render_curve_plot(x, blocks) -> str:
+    """The SVG that ``render_csv_plot`` gives for ``cli._csv_text(grid, blocks)``,
+    with ``x = grid.x``, drawn from the arrays without printing them."""
+    return _document(_block_series(np.asarray(x, dtype=float), blocks))

@@ -25,6 +25,16 @@ from ordstat import (
 
 DEFAULT_GRID = Grid.default()
 
+# sf_Y underflows to 0 at the largest x only, where its hazard is 0/0 = NaN
+NAN_HAZARD_DOC = {
+    "name": "nan_hazard", "theorem": "none",
+    "baseline": {"family": "exponential", "rate": 1.0},
+    "generator": {"name": "exp_tilt", "params": {"theta": 0.5}},
+    "grid": {"points": 200, "u_min": 1e-10},
+    "x_side": {"alpha": [0.5] * 4, "lambda": [0.5] * 4},
+    "y_side": {"alpha": [0.5] * 4, "lambda": [1.0] * 4},
+}
+
 
 def generate_majorized_pair(kind: str, dimension: int, rng: np.random.Generator,
                             low: float = 0.1, high: float = 3.0):

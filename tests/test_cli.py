@@ -15,6 +15,8 @@ from ordstat.marginals import mphr_sf
 from ordstat.scenarios import example_scenario_document
 from ordstat.svgplot import render_csv_plot
 
+from scenario_gen import NAN_HAZARD_DOC
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     import os
@@ -127,6 +129,17 @@ class TestCompare:
         path.write_text(json.dumps(doc))
         r = run_cli("compare", path, "--out-dir", tmp_path)
         assert r.returncode == 3
+
+    # the hazard is 0/0 where sf_Y is 0, and numpy warns about it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_skipped_hazard_points_are_reported(self, tmp_path, capsys):
+        path = tmp_path / "nan_hazard.json"
+        path.write_text(json.dumps(NAN_HAZARD_DOC))
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+        hr_block = capsys.readouterr().out.split("  [pass] hr: ")[1].split("\n\n")[0]
+        assert hr_block.splitlines()[1:] == [
+            "         [pass] survival-ratio monotonicity: min step 6.921066e-04",
+            "         points skipped by the hazard route (a survival is 0): 1"]
 
     def test_hypothesis_failure_exit_code(self, tmp_path):
         doc = small_grid(example_scenario_document(3))

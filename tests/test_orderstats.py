@@ -31,6 +31,8 @@ from ordstat import (
     second_order_sf_random_n,
     survival_copula_eval,
 )
+from ordstat.marginals import mphr_hazard
+from ordstat.orderstats import _rows
 from ordstat.scenarios import builtin_example
 
 INDEP = builtin_generator("independence")
@@ -47,6 +49,22 @@ def random_spec(rng, n, generator=None):
     ms = tuple(MphrMarginal(rng.uniform(0.05, 1.0), rng.uniform(0.05, 3.0), base)
                for _ in range(n))
     return DependentSampleSpec(ms, gen)
+
+
+class TestMarginalRows:
+    @pytest.mark.parametrize("bases", [(Weibull(0.7, 1.8),), (EXP,),
+                                       (Weibull(2.0, 0.5), EXP, Exponential(20.0))],
+                             ids=["weibull", "exponential", "mixed"])
+    def test_equal_per_marginal_calls(self, bases):
+        rng = np.random.default_rng(3)
+        ms = [MphrMarginal(rng.uniform(0.01, 20.0), rng.uniform(0.05, 20.0),
+                           bases[i % len(bases)]) for i in range(9)]
+        xs = -np.log(np.linspace(1e-300, 1.0, 999)[:-1])
+        for x in (xs, float(xs[400])):
+            G, H = _rows(ms, x, hazard=True)
+            assert np.array_equal(G, [np.atleast_1d(mphr_sf(m, x)) for m in ms])
+            assert np.array_equal(H, [np.atleast_1d(mphr_hazard(m, x)) for m in ms])
+            assert np.array_equal(_rows(ms, x), G)
 
 
 class TestDependentSurvival:

@@ -15,14 +15,14 @@ from ordstat import (
     check_st,
     validate_theorem,
 )
-from ordstat.scenarios import builtin_example
+from ordstat.scenarios import builtin_example, parse_scenario
 from ordstat.stochorder import (
     PRIMARY_CHECK,
     scenario_hazard_functions,
     scenario_survival_functions,
 )
 
-from scenario_gen import SCENARIO_FACTORIES
+from scenario_gen import NAN_HAZARD_DOC, SCENARIO_FACTORIES
 
 GRID = Grid.default(points=200)
 
@@ -117,6 +117,33 @@ class TestCheckHr:
         rep = check_hr(hx, hy, sfx, sfy, sc.grid)
         assert rep.holds
         assert rep.routes_agree
+
+    def test_underflowed_survival_does_not_decide_hazard_route(self):
+        sc, _ = parse_scenario(NAN_HAZARD_DOC)
+        sfx, sfy = scenario_survival_functions(sc)
+        hx, hy = scenario_hazard_functions(sc)
+        with np.errstate(invalid="ignore"):
+            rep = check_hr(hx, hy, sfx, sfy, sc.grid)
+            assert np.isnan(rep.curves["Y"][0]) and sfy(sc.grid.positive_x[:1])[0] == 0.0
+        assert rep.holds and rep.routes_agree
+        assert rep.skipped == 1
+        assert rep.min_margin > 0.09
+
+    def test_nan_hazard_where_survival_is_positive_fails(self):
+        sc = builtin_example(3)
+        sfx, sfy = scenario_survival_functions(sc)
+        hx, hy = scenario_hazard_functions(sc)
+
+        def hx_nan(xs):
+            h = np.array(hx(xs))
+            h[500] = np.nan
+            return h
+
+        rep = check_hr(hx_nan, hy, sfx, sfy, sc.grid)
+        assert not rep.holds and not rep.routes_agree
+        assert np.isnan(rep.min_margin)
+        assert rep.witness_x == sc.grid.positive_x[500]
+        assert rep.skipped == 0
 
     def test_hr_excludes_time_origin(self):
         sc = builtin_example(4)  # baseline shape 0.2: hazard diverges at 0

@@ -3,17 +3,19 @@
 Each digest is the SHA-256 of ``render_csv_plot`` on one CSV, recorded from
 the row-by-row ``csv.DictReader`` renderer that the column-parsing one
 replaced.  They pin every byte of the picture: any change in parsing,
-series order, scaling or number formatting shows here.
+series order, scaling or number formatting shows here.  The plots the CLI
+writes, which it draws from its curve arrays, must carry the same digests.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from ordstat import cli
+from ordstat import Grid, cli
 from ordstat.scenarios import example_scenario_document
-from ordstat.svgplot import render_csv_plot
+from ordstat.svgplot import render_csv_plot, render_curve_plot
 
 HEADER = "u,x,sf_X,sf_Y,hr_X,hr_Y,source\n"
 
@@ -52,27 +54,71 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def cli_csvs(tmp_path_factory):
-    """Curve CSVs of ``reproduce 1..4`` and of ``simulate`` (analytic rows,
-    then mc rows), all on the default grid."""
+def cli_files(tmp_path_factory):
+    """Curve CSVs and SVG plots of ``reproduce 1..4`` and of ``simulate``
+    (analytic rows, then mc rows), all on the default grid."""
     out = tmp_path_factory.mktemp("cli")
-    texts = {}
+    stems = {}
     for k in (1, 2, 3, 4):
         cli.main(["reproduce", str(k), "--out-dir", str(out)])
-        texts[f"reproduce{k}"] = (out / f"example{k}_curves.csv").read_text()
+        stems[f"reproduce{k}"] = f"example{k}"
     doc = out / "example3.json"
     doc.write_text(json.dumps(example_scenario_document(3)))
     assert cli.main(["simulate", str(doc), "--replications", "20000",
                      "--seed", "5", "--out-dir", str(out)]) == 0
-    texts["simulate"] = (out / "example3_mc_curves.csv").read_text()
-    return texts
+    stems["simulate"] = "example3_mc"
+    return {name: ((out / f"{stem}_curves.csv").read_text(),
+                   (out / f"{stem}_plot.svg").read_text()) for name, stem in stems.items()}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_bytes(name, cli_csvs):
-    csv_text = INLINE_CSVS.get(name) or cli_csvs[name]
-    svg = render_csv_plot(csv_text)
-    assert hashlib.sha256(svg.encode()).hexdigest() == GOLDEN[name]
+def test_golden_bytes(name, cli_files):
+    csv_text = INLINE_CSVS.get(name) or cli_files[name][0]
+    assert sha256(render_csv_plot(csv_text)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN) - set(INLINE_CSVS)))
+def test_cli_plot_files_are_golden(name, cli_files):
+    assert sha256(cli_files[name][1]) == GOLDEN[name]
+
+
+def _synthetic_blocks(case: str, grid: Grid) -> list:
+    rng = np.random.default_rng(7)
+    n, m = grid.u.size, grid.positive_x.size
+
+    def curve(size):
+        return np.sort(rng.uniform(0.0, 1.0, size))
+
+    if case == "nan_survival":
+        sf_y = curve(n)
+        sf_y[[0, 17]] = np.nan
+        return [("analytic", curve(n), sf_y, None, None)]
+    if case == "nonfinite_hazards":
+        hr_x, hr_y = curve(m) * 3.0, curve(m) * 4.0
+        hr_x[[0, 1, 9]] = [np.inf, np.nan, -np.inf]
+        hr_y[:5] = np.nan
+        return [("analytic", curve(n), curve(n), hr_x, hr_y)]
+    if case == "hazards_one_short":
+        return [("analytic", curve(n), curve(n), curve(n - 1), curve(n - 1))]
+    if case == "two_sources":
+        # the NaN that a panel's min/max meets first depends on series order
+        sf_y = curve(n)
+        sf_y[0] = np.nan
+        return [("analytic", None, sf_y, None, None), ("mc", curve(n), None, None, None)]
+    # an all-NaN hazard column draws nothing; its panel keeps the other one
+    return [("analytic", curve(n), curve(n), np.full(m, np.nan), curve(m))]
+
+
+@pytest.mark.parametrize("case", ["nan_survival", "nonfinite_hazards", "hazards_one_short",
+                                  "two_sources", "all_nan_hazard_column"])
+def test_curve_plot_equals_plot_of_written_csv(case):
+    grid = Grid.default(points=60, u_min=1e-5)
+    blocks = _synthetic_blocks(case, grid)
+    assert render_curve_plot(grid.x, blocks) == render_csv_plot(cli._csv_text(grid, blocks))
 
 
 @pytest.mark.parametrize("csv_text", ["", HEADER, "u,x\n0.5,0.69314718055994529\n1,0\n"],
