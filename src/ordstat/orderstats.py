@@ -211,19 +211,24 @@ def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
     return _unwrap(sum(p * _coupled_sf(g, PH[:m]) for m, p in law.pmf if p > 0.0), x)
 
 
-def second_order_hazard_dependent(spec: DependentSampleSpec, x):
-    """Hazard of the coupled second-order statistic by analytic chain rule.
+def _coupled_curves(spec: DependentSampleSpec, x):
+    """Coupled survival at every x and hazard at the x > 0 points, from one
+    pass over the marginal rows.
 
-    Differentiates the closed-form survival through psi' and phi' = 1/psi'(phi),
-    so it needs no finite differences.  Valid for x > 0.
+    The hazard differentiates the closed-form survival through psi' and
+    phi' = 1/psi'(phi), so it needs no finite differences; it is NaN where
+    the survival is 0.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0.0):
-        raise ValueError("hazard is evaluated for x > 0 only")
     g = spec.generator
-    n = spec.n
     G, H = _rows(spec.marginals, xs, hazard=True)
     PH = np.asarray(g.phi(G), dtype=float)
+    sf = _coupled_sf(g, PH)
+    pos = xs > 0.0
+    k = int(np.count_nonzero(pos))
+    # on a Grid u ascends, so the x > 0 points lead and a slice takes them
+    cols = slice(k) if pos[:k].all() else pos
+    G, H, PH, denom = G[:, cols], H[:, cols], PH[:, cols], sf[cols]
     # d/dx phi(G_j) = G_j' / psi'(phi(G_j)) with G_j' = -G_j * hazard_j
     W = (-G * H) / np.asarray(g.psi_prime(PH), dtype=float)
     total = PH.sum(axis=0)
@@ -231,8 +236,18 @@ def second_order_hazard_dependent(spec: DependentSampleSpec, x):
     sf_prime = np.zeros_like(total)
     for excl, w_excl in zip(_leave_one_out(np.add, PH), _leave_one_out(np.add, W)):
         sf_prime += np.asarray(g.psi_prime(excl), dtype=float) * w_excl
-    sf_prime -= (n - 1) * np.asarray(g.psi_prime(total), dtype=float) * wsum
-    return _unwrap(-sf_prime / _coupled_sf(g, PH), x)
+    sf_prime -= (spec.n - 1) * np.asarray(g.psi_prime(total), dtype=float) * wsum
+    # != 0, not > 0: a negative survival from a non-copula psi keeps its quotient
+    hz = np.divide(-sf_prime, denom, out=np.full_like(denom, np.nan), where=denom != 0.0)
+    return sf, hz
+
+
+def second_order_hazard_dependent(spec: DependentSampleSpec, x):
+    """Hazard of the coupled second-order statistic for x > 0, by analytic
+    chain rule; NaN where the survival is 0."""
+    if np.any(np.asarray(x, dtype=float) <= 0.0):
+        raise ValueError("hazard is evaluated for x > 0 only")
+    return _unwrap(_coupled_curves(spec, x)[1], x)
 
 
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):

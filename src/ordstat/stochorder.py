@@ -1,15 +1,17 @@
 """Grid-based stochastic-order verdicts and theorem-hypothesis validation.
 
 A comparison is certified on a finite evaluation grid only; every report
-carries the worst margin and where it occurred.  The hazard-rate verdict
-runs two independent routes (pointwise hazards, survival-ratio
+carries the worst margin and where it occurred.  A scenario evaluates its
+curves once, on its grid, and the checks compare those arrays.  The
+hazard-rate verdict runs two routes (pointwise hazards, survival-ratio
 monotonicity) and flags disagreement as numerical instability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -25,9 +27,9 @@ from .orderstats import (
     DependentSampleSpec,
     MultipleOutlierSpec,
     SampleSizeLaw,
+    _coupled_curves,
     multiple_outlier_hazard_in_x,
     multiple_outlier_sf_in_x,
-    second_order_hazard_dependent,
     second_order_hazard_independent,
     second_order_sf_dependent,
     second_order_sf_random_n,
@@ -108,11 +110,18 @@ class DominanceReport:
     skipped: int = 0
 
 
-def check_st(sf_x: Callable, sf_y: Callable, grid: Grid) -> DominanceReport:
-    """X above Y in the usual stochastic order: sf_X >= sf_Y on the grid."""
+def _curve(values, xs: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != xs.shape:
+        raise ValueError(f"curve of shape {values.shape} does not match "
+                         f"its {xs.size} grid points")
+    return values
+
+
+def check_st(fx, fy, grid: Grid) -> DominanceReport:
+    """X above Y in the usual stochastic order: survivals fx >= fy over grid.x."""
     xs = grid.x
-    fx = np.asarray(sf_x(xs), dtype=float)
-    fy = np.asarray(sf_y(xs), dtype=float)
+    fx, fy = _curve(fx, xs), _curve(fy, xs)
     margins = fx - fy
     i = int(np.argmin(margins))
     return DominanceReport(
@@ -124,30 +133,27 @@ def check_st(sf_x: Callable, sf_y: Callable, grid: Grid) -> DominanceReport:
     )
 
 
-def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
-             grid: Grid) -> DominanceReport:
+def check_hr(hx, hy, fx, fy, grid: Grid) -> DominanceReport:
     """X above Y in the hazard-rate order.
 
-    Route one: hr_X <= hr_Y pointwise (x = 0 excluded), at the points where
-    both survivals are positive; past the underflow of a survival its hazard
-    is 0/0, and ``skipped`` counts those points.  Route two: sf_X / sf_Y
-    non-decreasing in x.  The verdict requires both; a split decision clears
-    routes_agree so callers can flag instability.
+    Hazards hx, hy lie over ``grid.positive_x``, survivals fx, fy over
+    ``grid.x``.  Route one: hx <= hy at the points where both survivals are
+    positive; past the underflow of a survival its hazard is 0/0, and
+    ``skipped`` counts those points.  Route two: fx / fy non-decreasing in x.
+    The verdict requires both; a split decision clears routes_agree.
     """
     xs = grid.positive_x
-    hx = np.asarray(hr_x(xs), dtype=float)
-    hy = np.asarray(hr_y(xs), dtype=float)
-
-    order = np.argsort(xs)
-    fx = np.asarray(sf_x(xs[order]), dtype=float)
-    fy = np.asarray(sf_y(xs[order]), dtype=float)
-    live = np.empty(xs.size, dtype=bool)
-    live[order] = (fx > 0.0) & (fy > 0.0)
+    hx, hy = _curve(hx, xs), _curve(hy, xs)
+    pos = grid.u < 1.0
+    fx, fy = _curve(fx, grid.u)[pos], _curve(fy, grid.u)[pos]
+    live = (fx > 0.0) & (fy > 0.0)
     # a NaN margin at a live point is the minimum argmin finds, and fails
-    margins = np.where(live, hy - hx, np.inf)
+    margins = np.subtract(hy, hx, out=np.full(xs.size, np.inf), where=live)
     i = int(np.argmin(margins))
     hazard_ok = bool(margins[i] >= -_HR_TOL)
 
+    order = np.argsort(xs)
+    fx, fy = fx[order], fy[order]
     # the ratio says nothing once a survival leaves normal double range
     # (subnormals quantize the quotient); those points are still covered by
     # the pointwise hazard route
@@ -174,15 +180,15 @@ def check_hr(hr_x: Callable, hr_y: Callable, sf_x: Callable, sf_y: Callable,
     )
 
 
-def check_rh(cdf_x: Callable, cdf_y: Callable, grid: Grid) -> DominanceReport:
-    """X below Y in the reversed-hazard order: cdf_Y / cdf_X non-decreasing.
+def check_rh(fx, fy, grid: Grid) -> DominanceReport:
+    """X below Y in the reversed-hazard order: fy / fx non-decreasing.
 
-    Grid points where either cdf is below 1e-12 are dropped before the
-    ratio is formed.
+    fx and fy are the cdfs over ``grid.x``.  Grid points where either cdf
+    is below 1e-12 are dropped before the ratio is formed.
     """
-    xs = np.sort(grid.x)
-    fx = np.asarray(cdf_x(xs), dtype=float)
-    fy = np.asarray(cdf_y(xs), dtype=float)
+    order = np.argsort(grid.x)
+    xs = grid.x[order]
+    fx, fy = _curve(fx, grid.u)[order], _curve(fy, grid.u)[order]
     keep = (fx >= 1e-12) & (fy >= 1e-12)
     xs, fx, fy = xs[keep], fx[keep], fy[keep]
     if xs.size < 2:
@@ -223,37 +229,48 @@ class Scenario:
                 if law.max_support > side.n:
                     raise ValueError("sample-size law exceeds the side's size")
 
+    @cached_property
+    def curves(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """Read-only (survival over grid.x, hazard over grid.positive_x) of
+        the X side, then the Y side; hazards only when neither has a law."""
+        hazard = self.law_x is None and self.law_y is None
+        sides = (_side_curves(self.side_x, self.law_x, self.grid, hazard),
+                 _side_curves(self.side_y, self.law_y, self.grid, hazard))
+        for curve in (c for side in sides for c in side if c is not None):
+            curve.setflags(write=False)
+        return sides
 
-def _side_sf(side: Side, law: SampleSizeLaw | None) -> Callable:
+
+def _side_curves(side: Side, law: SampleSizeLaw | None, grid: Grid,
+                 hazard: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The side's survival over ``grid.x`` and, with ``hazard``, its hazard
+    over ``grid.positive_x``."""
+    xs = grid.x
     if isinstance(side, MultipleOutlierSpec):
-        return lambda xs: multiple_outlier_sf_in_x(side, xs)
+        return (multiple_outlier_sf_in_x(side, xs),
+                multiple_outlier_hazard_in_x(side, grid.positive_x) if hazard else None)
     if law is not None:
-        return lambda xs: second_order_sf_random_n(side, law, xs)
-    return lambda xs: second_order_sf_dependent(side, xs)
-
-
-def scenario_survival_functions(sc: Scenario) -> tuple[Callable, Callable]:
-    return _side_sf(sc.side_x, sc.law_x), _side_sf(sc.side_y, sc.law_y)
-
-
-def _side_hazard(side: Side, law: SampleSizeLaw | None) -> Callable | None:
-    if isinstance(side, MultipleOutlierSpec):
-        return lambda xs: multiple_outlier_hazard_in_x(side, xs)
-    if law is not None:
-        return None  # mixture hazards are not emitted
+        return second_order_sf_random_n(side, law, xs), None
     lams = {m.lam for m in side.marginals}
     bases = {m.baseline for m in side.marginals}
-    if side.generator.name == "independence" and len(lams) == 1 and len(bases) == 1:
-        return lambda xs: second_order_hazard_independent(side.marginals, xs)
-    return lambda xs: second_order_hazard_dependent(side, xs)
+    if hazard and not (side.generator.name == "independence"
+                       and len(lams) == 1 and len(bases) == 1):
+        return _coupled_curves(side, xs)
+    return (second_order_sf_dependent(side, xs),
+            second_order_hazard_independent(side.marginals, grid.positive_x) if hazard else None)
 
 
-def scenario_hazard_functions(sc: Scenario) -> tuple[Callable, Callable] | None:
-    hx = _side_hazard(sc.side_x, sc.law_x)
-    hy = _side_hazard(sc.side_y, sc.law_y)
-    if hx is None or hy is None:
-        return None
-    return hx, hy
+def scenario_survival_functions(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Survivals of the X and Y sides over ``sc.grid.x``, read-only."""
+    (fx, _), (fy, _) = sc.curves
+    return fx, fy
+
+
+def scenario_hazard_functions(sc: Scenario) -> tuple[np.ndarray, np.ndarray] | None:
+    """Hazards of the X and Y sides over ``sc.grid.positive_x``, read-only, or
+    None: with a sample-size law no hazards are emitted."""
+    (_, hx), (_, hy) = sc.curves
+    return None if hx is None else (hx, hy)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ class TestReproduce:
         # count through the names stochorder binds, as the benchmark tracer does
         calls = {"sf": 0, "hazard": 0}
         for name in ("second_order_sf_dependent", "second_order_sf_random_n",
-                     "second_order_hazard_dependent", "second_order_hazard_independent"):
+                     "second_order_hazard_independent"):
             kind = "sf" if "_sf_" in name else "hazard"
 
             def counted(*args, _fn=getattr(ordstat.stochorder, name), _kind=kind):
@@ -83,8 +84,8 @@ class TestReproduce:
             monkeypatch.setattr(ordstat.stochorder, name, counted)
         assert cli.main(["reproduce", "3", "--out-dir", str(tmp_path),
                          "--grid-points", "150"]) == 0
-        # st: sf_X, sf_Y; hr: hr_X, hr_Y plus sf_X, sf_Y for the ratio route
-        assert calls == {"sf": 4, "hazard": 2}
+        # sf_X, sf_Y and hr_X, hr_Y, shared by the st check and both hr routes
+        assert calls == {"sf": 2, "hazard": 2}
 
     @pytest.mark.parametrize("example_id", [2, 4])
     def test_remaining_examples_pass(self, tmp_path, example_id):
@@ -130,16 +131,33 @@ class TestCompare:
         r = run_cli("compare", path, "--out-dir", tmp_path)
         assert r.returncode == 3
 
-    # the hazard is 0/0 where sf_Y is 0, and numpy warns about it
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_skipped_hazard_points_are_reported(self, tmp_path, capsys):
         path = tmp_path / "nan_hazard.json"
         path.write_text(json.dumps(NAN_HAZARD_DOC))
-        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+        # the 0/0 hazard where sf_Y is 0 is handled, so numpy stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
         hr_block = capsys.readouterr().out.split("  [pass] hr: ")[1].split("\n\n")[0]
         assert hr_block.splitlines()[1:] == [
             "         [pass] survival-ratio monotonicity: min step 6.921066e-04",
             "         points skipped by the hazard route (a survival is 0): 1"]
+
+    def test_coupled_sides_evaluate_their_rows_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=ordstat.orderstats._rows, **kwargs):
+            calls.append(kwargs.get("hazard", False))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ordstat.orderstats, "_rows", counted)
+        path = tmp_path / "coupled.json"
+        doc = small_grid(example_scenario_document(1))
+        del doc["n1_pmf"], doc["n2_pmf"]  # with laws, no hazards are computed
+        path.write_text(json.dumps(doc))
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
+        # one fused survival-and-hazard pass per side
+        assert calls == [True, True]
 
     def test_hypothesis_failure_exit_code(self, tmp_path):
         doc = small_grid(example_scenario_document(3))

@@ -32,8 +32,11 @@ from ordstat import (
     survival_copula_eval,
 )
 from ordstat.marginals import mphr_hazard
-from ordstat.orderstats import _rows
-from ordstat.scenarios import builtin_example
+from ordstat.orderstats import _coupled_curves, _rows
+from ordstat.scenarios import builtin_example, parse_scenario
+from ordstat.stochorder import Grid
+
+from scenario_gen import NAN_HAZARD_DOC
 
 INDEP = builtin_generator("independence")
 EXP = Exponential(1.0)
@@ -408,6 +411,22 @@ def custom_clayton(theta):
 ORACLE_GENERATORS = [INDEP, builtin_generator("exp_tilt", 0.3),
                      builtin_generator("power_tilt", 3.0), builtin_generator("clayton", 2.0),
                      custom_clayton(2.0)]
+
+
+class TestCoupledCurves:
+    @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
+    def test_one_pass_equals_separate_survival_and_hazard(self, gen):
+        rng = np.random.default_rng(41)
+        grids = (Grid.default(), Grid(np.linspace(1e-3, 0.9, 200)),
+                 parse_scenario(NAN_HAZARD_DOC)[0].grid)
+        for n in (1, 2, 4, 16):
+            spec = random_spec(rng, n, gen)
+            for grid in grids:
+                sf, hz = _coupled_curves(spec, grid.x)
+                assert np.array_equal(sf, second_order_sf_dependent(spec, grid.x),
+                                      equal_nan=True)
+                assert np.array_equal(hz, second_order_hazard_dependent(spec, grid.positive_x),
+                                      equal_nan=True)
 
 
 class TestExceedanceCounts:

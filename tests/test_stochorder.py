@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,11 @@ GRID = Grid.default(points=200)
 
 
 def exp_sf(rate):
-    return lambda xs: np.exp(-rate * np.asarray(xs))
+    return np.exp(-rate * GRID.x)
 
 
 def exp_cdf(rate):
-    return lambda xs: -np.expm1(-rate * np.asarray(xs))
+    return -np.expm1(-rate * GRID.x)
 
 
 class TestGrid:
@@ -68,6 +70,12 @@ class TestCheckSt:
         assert rep.holds
         assert rep.min_margin >= 0.0
 
+    def test_curves_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="200 grid points"):
+            check_st(exp_sf(1.0)[1:], exp_sf(1.0)[1:], GRID)
+        with pytest.raises(ValueError, match="199 grid points"):
+            check_hr(exp_sf(1.0), exp_sf(1.0), exp_sf(1.0), exp_sf(1.0), GRID)
+
     def test_first_example_scenario_holds(self):
         sc = builtin_example(1)
         sfx, sfy = scenario_survival_functions(sc)
@@ -88,11 +96,21 @@ class TestCheckSt:
 
 class TestCheckHr:
     def test_identical_model_holds_with_zero_margin(self):
-        hz = lambda xs: np.ones_like(np.asarray(xs))
+        hz = np.ones(GRID.positive_x.size)
         rep = check_hr(hz, hz, exp_sf(1.0), exp_sf(1.0), GRID)
         assert rep.holds
         assert rep.min_margin == 0.0
         assert rep.routes_agree
+
+    def test_skipped_points_are_not_compared(self):
+        hz = np.ones(GRID.positive_x.size)
+        hz[0] = np.inf  # inf - inf would warn at this point, whose survival is 0
+        sf = exp_sf(1.0)
+        sf[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_hr(hz, hz, sf, sf, GRID)
+        assert rep.holds and rep.skipped == 1 and rep.min_margin == 0.0
 
     def test_third_example_scenario_holds_both_routes(self):
         sc = builtin_example(3)
@@ -122,9 +140,9 @@ class TestCheckHr:
         sc, _ = parse_scenario(NAN_HAZARD_DOC)
         sfx, sfy = scenario_survival_functions(sc)
         hx, hy = scenario_hazard_functions(sc)
-        with np.errstate(invalid="ignore"):
-            rep = check_hr(hx, hy, sfx, sfy, sc.grid)
-            assert np.isnan(rep.curves["Y"][0]) and sfy(sc.grid.positive_x[:1])[0] == 0.0
+        rep = check_hr(hx, hy, sfx, sfy, sc.grid)
+        # index 0 is the largest x on both the survival and the hazard grid
+        assert np.isnan(rep.curves["Y"][0]) and sfy[0] == 0.0
         assert rep.holds and rep.routes_agree
         assert rep.skipped == 1
         assert rep.min_margin > 0.09
@@ -134,11 +152,8 @@ class TestCheckHr:
         sfx, sfy = scenario_survival_functions(sc)
         hx, hy = scenario_hazard_functions(sc)
 
-        def hx_nan(xs):
-            h = np.array(hx(xs))
-            h[500] = np.nan
-            return h
-
+        hx_nan = hx.copy()
+        hx_nan[500] = np.nan
         rep = check_hr(hx_nan, hy, sfx, sfy, sc.grid)
         assert not rep.holds and not rep.routes_agree
         assert np.isnan(rep.min_margin)
@@ -148,8 +163,20 @@ class TestCheckHr:
     def test_hr_excludes_time_origin(self):
         sc = builtin_example(4)  # baseline shape 0.2: hazard diverges at 0
         hx, hy = scenario_hazard_functions(sc)
-        vals = hx(sc.grid.positive_x)
-        assert np.all(np.isfinite(vals))
+        assert hx.shape == sc.grid.positive_x.shape
+        assert np.all(np.isfinite(hx))
+
+
+class TestScenarioCurves:
+    def test_curves_are_evaluated_once_and_read_only(self):
+        sc = builtin_example(3)
+        sfx, sfy = scenario_survival_functions(sc)
+        hx, hy = scenario_hazard_functions(sc)
+        assert scenario_survival_functions(sc)[0] is sfx
+        assert sfx.shape == sc.grid.x.shape and hx.shape == sc.grid.positive_x.shape
+        for curve in (sfx, sfy, hx, hy):
+            with pytest.raises(ValueError, match="read-only"):
+                curve[0] = 0.5
 
 
 class TestCheckRh:
@@ -181,8 +208,8 @@ class TestCheckRh:
                 break
         assert found is not None
         w1, w2 = (Weibull(1.0, b) for b in found)
-        cdf1 = lambda t: -np.expm1(w1.log_sf(t))
-        cdf2 = lambda t: -np.expm1(w2.log_sf(t))
+        cdf1 = -np.expm1(w1.log_sf(GRID.x))
+        cdf2 = -np.expm1(w2.log_sf(GRID.x))
         assert not check_rh(cdf1, cdf2, GRID).holds
         assert not check_rh(cdf2, cdf1, GRID).holds
 
