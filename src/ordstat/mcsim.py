@@ -51,13 +51,15 @@ class SimConfig:
 
 def sample_lifetime_matrix(marginals: Sequence[MphrMarginal], replications: int,
                            rng) -> np.ndarray:
-    """Replications stacked into shape (replications, n), column-transformed."""
-    n = len(marginals)
-    u = np.asarray(rng.random((replications, n)), dtype=float)
-    out = np.empty_like(u)
+    """Replications stacked into shape (replications, n), column-transformed.
+
+    Each unit's uniforms are transformed as one contiguous row of the
+    transpose; the result is its (replications, n) view.
+    """
+    u = np.asarray(rng.random((replications, len(marginals))), dtype=float).T.copy()
     for j, m in enumerate(marginals):
-        out[:, j] = mphr_quantile(m, u[:, j])
-    return out
+        u[j] = mphr_quantile(m, u[j])
+    return u.T
 
 
 def empirical_second_order_sf(samples: np.ndarray, x) -> np.ndarray:
@@ -65,7 +67,16 @@ def empirical_second_order_sf(samples: np.ndarray, x) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] < 2:
         raise ValueError("samples must be (replications, n) with n >= 2")
-    second = np.sort(np.partition(samples, 1, axis=1)[:, 1])
+    # running minimum and second minimum over the units, a column at a time
+    lo = np.minimum(samples[:, 0], samples[:, 1])
+    second = np.maximum(samples[:, 0], samples[:, 1])
+    above = np.empty_like(lo)
+    for j in range(2, samples.shape[1]):
+        col = samples[:, j]
+        np.maximum(lo, col, out=above)
+        np.minimum(second, above, out=second)
+        np.minimum(lo, col, out=lo)
+    second.sort()
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     exceed = second.size - np.searchsorted(second, xs, side="right")
     out = exceed / second.size

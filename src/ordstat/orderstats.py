@@ -202,13 +202,32 @@ def second_order_sf_independent(marginals: Sequence[MphrMarginal], x):
 
 
 def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
-    """Mixture over the sample size: the first m marginals enter when N=m."""
+    """Mixture over the sample size: the first m marginals enter when N=m.
+
+    One pass over m = 1..max_support.  ``excl[i]`` is the sum of the first m
+    phi rows but row i, and ``total`` the sum of all m; step m adds row m-1
+    to both in place, so every sum runs left to right and none is undone by
+    subtraction.  psi is called only at sizes the law gives mass to.
+    """
     if law.max_support > spec.n:
         raise ValueError(
             f"law supported up to {law.max_support} but only {spec.n} marginals given")
     g = spec.generator
     PH = np.asarray(g.phi(_rows(spec.marginals[:law.max_support], x)), dtype=float)
-    return _unwrap(sum(p * _coupled_sf(g, PH[:m]) for m, p in law.pmf if p > 0.0), x)
+    excl = np.empty_like(PH)
+    total = np.zeros_like(PH[0])
+    mix = np.zeros_like(total)
+    for m, p in law.pmf[:law.max_support]:
+        row = PH[m - 1]
+        excl[:m - 1] += row
+        excl[m - 1] = total
+        total += row
+        if p > 0.0:
+            sf = -(m - 1) * np.asarray(g.psi(total), dtype=float)
+            for e in excl[:m]:
+                sf += np.asarray(g.psi(e), dtype=float)
+            mix += p * sf
+    return _unwrap(mix, x)
 
 
 def _coupled_curves(spec: DependentSampleSpec, x):
@@ -228,6 +247,9 @@ def _coupled_curves(spec: DependentSampleSpec, x):
     k = int(np.count_nonzero(pos))
     # on a Grid u ascends, so the x > 0 points lead and a slice takes them
     cols = slice(k) if pos[:k].all() else pos
+    if spec.n == 1:
+        # one unit never fails twice; where phi(G) = inf its W would be 0/0
+        return sf, np.zeros_like(sf[cols])
     G, H, PH, denom = G[:, cols], H[:, cols], PH[:, cols], sf[cols]
     # d/dx phi(G_j) = G_j' / psi'(phi(G_j)) with G_j' = -G_j * hazard_j
     W = (-G * H) / np.asarray(g.psi_prime(PH), dtype=float)

@@ -12,6 +12,7 @@ from ordstat import (
     empirical_second_order_sf,
     mc_vs_analytic_report,
     mphr_cdf,
+    mphr_quantile,
     sample_lifetime_matrix,
     second_order_sf_independent,
 )
@@ -57,8 +58,30 @@ class TestSampling:
         b = sample_lifetime_matrix(ms, 500, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
+    def test_equals_column_by_column_construction(self):
+        ms = (MphrMarginal(1.0, 1.0, EXP), MphrMarginal(0.25, 0.5, Weibull(0.15, 1.2)),
+              MphrMarginal(0.8, 1.3, Weibull(1.2, 0.5)))
+        draws = sample_lifetime_matrix(ms, 5000, np.random.default_rng(58))
+        u = np.random.default_rng(58).random((5000, len(ms)))
+        expected = np.empty_like(u)
+        for j, m in enumerate(ms):
+            expected[:, j] = mphr_quantile(m, u[:, j])
+        assert draws.shape == expected.shape
+        np.testing.assert_array_equal(draws, expected)
+
 
 class TestEmpiricalCurve:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_equals_partition_reference(self, n):
+        rng = np.random.default_rng(59 + n)
+        # a coarse lattice of values makes ties within a row common
+        samples = rng.integers(0, 6, (4000, n)) * 0.5
+        xs = np.linspace(-0.25, 3.0, 40)
+        second = np.sort(np.partition(samples, 1, axis=1)[:, 1])
+        expected = (second.size - np.searchsorted(second, xs, side="right")) / second.size
+        for layout in (np.ascontiguousarray(samples), np.asfortranarray(samples)):
+            np.testing.assert_array_equal(empirical_second_order_sf(layout, xs), expected)
+
     def test_single_replication_indicator(self):
         curve = empirical_second_order_sf(np.array([[1.0, 2.0, 3.0]]),
                                           np.array([0.5, 1.5, 2.5]))

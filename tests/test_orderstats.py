@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def random_spec(rng, n, generator=None):
     ms = tuple(MphrMarginal(rng.uniform(0.05, 1.0), rng.uniform(0.05, 3.0), base)
                for _ in range(n))
     return DependentSampleSpec(ms, gen)
+
+
+def custom_clayton(theta):
+    """Clayton psi alone, so phi falls back to the numeric inverse."""
+    return ArchimedeanGenerator("custom_clayton", psi=lambda t: np.power(
+        1.0 + np.asarray(t, dtype=float), -1.0 / theta))
+
+
+ORACLE_GENERATORS = [INDEP, builtin_generator("exp_tilt", 0.3),
+                     builtin_generator("power_tilt", 3.0), builtin_generator("clayton", 2.0),
+                     custom_clayton(2.0)]
 
 
 class TestMarginalRows:
@@ -223,6 +235,40 @@ class TestRandomSampleSize:
                            DependentSampleSpec(spec.marginals[:m], spec.generator), x)
                        for m, p in law.pmf)
         assert second_order_sf_random_n(spec, law, x) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_one_pass_equals_per_size_closed_forms(self, gen, n):
+        rng = np.random.default_rng(43 + n)
+        spec = random_spec(rng, n, gen)
+        phi_calls = []
+
+        def phi(u):
+            phi_calls.append(1)
+            return gen.phi(u)
+
+        counted = DependentSampleSpec(spec.marginals, ArchimedeanGenerator(
+            gen.name, psi=gen.psi, phi=phi, psi_prime=gen.psi_prime))
+        # zero mass at the first size, at a middle size and at the last one;
+        # a one-unit law keeps its whole mass at 1
+        laws = []
+        for zero in sorted({0, n // 2, n - 1}):
+            w = rng.uniform(0.1, 1.0, n)
+            w[zero] = 0.0 if n > 1 else 1.0
+            laws.append(SampleSizeLaw(w / w.sum()))
+        # the far grid reaches coordinates whose phi is infinite
+        grids = (Grid.default(), Grid(np.geomspace(1e-300, 1.0, 300)))
+        for grid in grids:
+            per_size = [second_order_sf_dependent(
+                            DependentSampleSpec(spec.marginals[:m], gen), grid.x)
+                        for m in range(1, n + 1)]
+            for law in laws:
+                phi_calls.clear()
+                sf = second_order_sf_random_n(counted, law, grid.x)
+                assert len(phi_calls) == 1
+                expected = sum(p * per_size[m - 1] for m, p in law.pmf if p > 0.0)
+                np.testing.assert_allclose(sf, expected, rtol=0.0, atol=4e-15)
+                assert np.all((sf >= 0.0) & (sf <= 1.0))
 
     def test_support_beyond_sample_rejected(self):
         spec = iid_exp_spec(2)
@@ -402,17 +448,6 @@ def counts_by_subsets(spec, x):
                                for j in range(k, n + 1)) for k in range(n + 1)])
 
 
-def custom_clayton(theta):
-    """Clayton psi alone, so phi falls back to the numeric inverse."""
-    return ArchimedeanGenerator("custom_clayton", psi=lambda t: np.power(
-        1.0 + np.asarray(t, dtype=float), -1.0 / theta))
-
-
-ORACLE_GENERATORS = [INDEP, builtin_generator("exp_tilt", 0.3),
-                     builtin_generator("power_tilt", 3.0), builtin_generator("clayton", 2.0),
-                     custom_clayton(2.0)]
-
-
 class TestCoupledCurves:
     @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
     def test_one_pass_equals_separate_survival_and_hazard(self, gen):
@@ -421,12 +456,30 @@ class TestCoupledCurves:
                  parse_scenario(NAN_HAZARD_DOC)[0].grid)
         for n in (1, 2, 4, 16):
             spec = random_spec(rng, n, gen)
-            for grid in grids:
-                sf, hz = _coupled_curves(spec, grid.x)
-                assert np.array_equal(sf, second_order_sf_dependent(spec, grid.x),
-                                      equal_nan=True)
-                assert np.array_equal(hz, second_order_hazard_dependent(spec, grid.positive_x),
-                                      equal_nan=True)
+            with warnings.catch_warnings():
+                if n == 1:
+                    warnings.simplefilter("error", RuntimeWarning)
+                for grid in grids:
+                    sf, hz = _coupled_curves(spec, grid.x)
+                    assert np.array_equal(sf, second_order_sf_dependent(spec, grid.x),
+                                          equal_nan=True)
+                    assert np.array_equal(
+                        hz, second_order_hazard_dependent(spec, grid.positive_x),
+                        equal_nan=True)
+                    if n == 1:
+                        assert np.all(hz == 0.0) and not np.signbit(hz).any()
+
+    @pytest.mark.parametrize("gen", [INDEP, builtin_generator("clayton", 2.0)],
+                             ids=lambda g: g.name)
+    def test_single_unit_hazard_is_zero_after_underflow(self, gen):
+        spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP),), gen)
+        xs = np.array([100.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hz = second_order_hazard_dependent(spec, xs)
+            sf = second_order_sf_dependent(spec, xs)
+        np.testing.assert_array_equal(sf, [1.0, 1.0])
+        assert np.all(hz == 0.0) and not np.signbit(hz).any()
 
 
 class TestExceedanceCounts:
