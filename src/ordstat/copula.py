@@ -154,10 +154,11 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
                 return np.log1p(-th * np.log(np.asarray(u, dtype=float)))
 
         def psi_prime(x):
-            # single exponent avoids 0 * inf at large x
+            # single exponent avoids 0 * inf at large x; at x = inf it is
+            # inf - inf, so the limit -0 is set there
             x = np.asarray(x, dtype=float)
-            with np.errstate(over="ignore"):
-                return -np.exp(x + (1.0 - np.exp(x)) / th) / th
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(x == math.inf, -0.0, -np.exp(x + (1.0 - np.exp(x)) / th) / th)
 
     elif canonical == "power_tilt":
         if not th > 0.0:
@@ -172,9 +173,11 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
                 return np.power(1.0 - np.log(np.asarray(u, dtype=float)), 1.0 / th) - 1.0
 
         def psi_prime(x):
+            # the exponent is inf - inf at x = inf, where the limit is -0
             x = np.asarray(x, dtype=float)
-            with np.errstate(over="ignore"):
-                return -th * np.exp((th - 1.0) * np.log1p(x) + 1.0 - np.power(1.0 + x, th))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(x == math.inf, -0.0, -th * np.exp(
+                    (th - 1.0) * np.log1p(x) + 1.0 - np.power(1.0 + x, th)))
 
     elif canonical == "clayton":
         if not th > 0.0:

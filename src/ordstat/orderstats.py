@@ -5,7 +5,8 @@ survives the first component failure and dies with the second.  Closed
 forms are provided for coupled samples (through an Archimedean survival
 copula), independent samples, two-block multiple-outlier samples, and
 random sample sizes, plus an exact subset-enumeration oracle used to
-cross-check all of them.
+cross-check all of them.  The coupled, random-size and independent forms
+share one walk that grows every leave-one-out sum left to right.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .copula import PHI_CLAMP_U, ArchimedeanGenerator, builtin_generator
-from .marginals import Baseline, MphrMarginal, Weibull, _tilt_denominator, mphr_sf
+from .marginals import Baseline, MphrMarginal, Weibull, _tilt_denominator
 
 __all__ = [
     "DependentSampleSpec",
@@ -160,26 +161,77 @@ def _unwrap(value: np.ndarray, x):
 
 
 def _leave_one_out(op, rows: np.ndarray):
-    """Yield op over every row of ``rows`` but row i, for i = 0..n-1.
+    """After row m yield ``(excl[:m], total)``: op over the first m rows but
+    row i, for each i < m, and op over all m.
 
-    A running total from the left meets suffix totals from the right, so no
-    total is undone by subtraction: an infinite or outsized row is never lost.
+    Every fold runs left to right and none is undone by subtraction, so an
+    infinite or outsized row is never lost.  Later steps update the yielded
+    arrays in place.
     """
-    # row by row: op.accumulate along axis 0 is about 5x slower on (16, 10000)
-    suffix = rows.copy()
-    for i in range(len(rows) - 2, -1, -1):
-        op(suffix[i], suffix[i + 1], out=suffix[i])
-    left = np.full_like(suffix[0], op.identity)
-    for i in range(len(rows) - 1):
-        yield op(left, suffix[i + 1])
-        op(left, rows[i], out=left)
-    yield left
+    excl = np.empty_like(rows)
+    total = np.full_like(rows[0], op.identity)
+    for m, row in enumerate(rows):
+        op(excl[:m], row, out=excl[:m])
+        excl[m] = total
+        op(total, row, out=total)
+        yield excl[:m + 1], total
 
 
-def _coupled_sf(g: ArchimedeanGenerator, PH: np.ndarray) -> np.ndarray:
-    """sum_i psi(sum_{j != i} PH_j) - (n-1) psi(sum_j PH_j) over the rows of PH."""
-    acc = sum(np.asarray(g.psi(excl), dtype=float) for excl in _leave_one_out(np.add, PH))
-    return acc - (len(PH) - 1) * np.asarray(g.psi(PH.sum(axis=0)), dtype=float)
+def _second_order_sf(rows: np.ndarray, op, psi, law: SampleSizeLaw):
+    """Mixture over m ~ law of sum_i psi(excl_i) - (m-1) psi(total), with excl
+    and total the leave-one-out and full op-folds of the first m rows.
+
+    Returns the mixture and the walk's final ``(excl, total)``.  psi runs
+    only at sizes the law gives mass to.
+    """
+    mix = np.zeros_like(rows[0])
+    for (m, p), (excl, total) in zip(law.pmf, _leave_one_out(op, rows)):
+        if p > 0.0:
+            sf = -(m - 1) * np.asarray(psi(total), dtype=float)
+            for e in excl:
+                sf += np.asarray(psi(e), dtype=float)
+            mix += p * sf
+    return mix, excl, total
+
+
+def _coupled_curves(spec: DependentSampleSpec, x, law: SampleSizeLaw | None = None,
+                    hazard: bool = False):
+    """Coupled survival at every x and, with ``hazard``, the hazard at the
+    x > 0 points (else None), from one walk over the phi rows.
+
+    A plain side is the point mass at n.  The hazard, of a plain side only,
+    differentiates the closed form through psi' and phi' = 1/psi'(phi), so it
+    needs no finite differences; it is NaN where the survival is 0.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    law = law or SampleSizeLaw([0.0] * (spec.n - 1) + [1.0])
+    g = spec.generator
+    rows = _rows(spec.marginals[:law.max_support], xs, hazard=hazard)
+    G, H = rows if hazard else (rows, None)
+    PH = np.asarray(g.phi(G), dtype=float)
+    sf, excl, total = _second_order_sf(PH, np.add, g.psi, law)
+    if not hazard:
+        return sf, None
+    pos = xs > 0.0
+    k = int(np.count_nonzero(pos))
+    # on a Grid u ascends, so the x > 0 points lead and a slice takes them
+    cols = slice(k) if pos[:k].all() else pos
+    if spec.n == 1:
+        # one unit never fails twice: its hazard is exactly +0
+        return sf, np.zeros_like(sf[cols])
+    G, H, PH, excl, total, denom = (G[:, cols], H[:, cols], PH[:, cols], excl[:, cols],
+                                    total[cols], sf[cols])
+    # d/dx phi(G_j) = G_j' / psi'(phi(G_j)) with G_j' = -G_j * hazard_j; a unit
+    # with phi(G_j) = inf has failed and adds no slope
+    W = np.divide(-G * H, np.asarray(g.psi_prime(PH), dtype=float),
+                  out=np.zeros_like(PH), where=np.isfinite(PH))
+    *_, (w_excl, wsum) = _leave_one_out(np.add, W)
+    sf_prime = -(spec.n - 1) * np.asarray(g.psi_prime(total), dtype=float) * wsum
+    for e, w in zip(excl, w_excl):
+        sf_prime += np.asarray(g.psi_prime(e), dtype=float) * w
+    # != 0, not > 0: a negative survival from a non-copula psi keeps its quotient
+    hz = np.divide(-sf_prime, denom, out=np.full_like(denom, np.nan), where=denom != 0.0)
+    return sf, hz
 
 
 def second_order_sf_dependent(spec: DependentSampleSpec, x):
@@ -189,79 +241,22 @@ def second_order_sf_dependent(spec: DependentSampleSpec, x):
     marginal survivals at x.  A single-unit sample gives 1: its second
     failure never happens.
     """
-    g = spec.generator
-    PH = np.asarray(g.phi(_rows(spec.marginals, x)), dtype=float)
-    return _unwrap(_coupled_sf(g, PH), x)
+    return _unwrap(_coupled_curves(spec, x)[0], x)
 
 
 def second_order_sf_independent(marginals: Sequence[MphrMarginal], x):
     """Product-form survival for independent units."""
-    G = _rows(marginals, x)
-    sf = sum(_leave_one_out(np.multiply, G)) - (len(G) - 1) * np.prod(G, axis=0)
+    point_mass = SampleSizeLaw([0.0] * (len(marginals) - 1) + [1.0])
+    sf, _, _ = _second_order_sf(_rows(marginals, x), np.multiply, lambda v: v, point_mass)
     return _unwrap(sf, x)
 
 
 def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
-    """Mixture over the sample size: the first m marginals enter when N=m.
-
-    One pass over m = 1..max_support.  ``excl[i]`` is the sum of the first m
-    phi rows but row i, and ``total`` the sum of all m; step m adds row m-1
-    to both in place, so every sum runs left to right and none is undone by
-    subtraction.  psi is called only at sizes the law gives mass to.
-    """
+    """Mixture over the sample size: the first m marginals enter when N=m."""
     if law.max_support > spec.n:
         raise ValueError(
             f"law supported up to {law.max_support} but only {spec.n} marginals given")
-    g = spec.generator
-    PH = np.asarray(g.phi(_rows(spec.marginals[:law.max_support], x)), dtype=float)
-    excl = np.empty_like(PH)
-    total = np.zeros_like(PH[0])
-    mix = np.zeros_like(total)
-    for m, p in law.pmf[:law.max_support]:
-        row = PH[m - 1]
-        excl[:m - 1] += row
-        excl[m - 1] = total
-        total += row
-        if p > 0.0:
-            sf = -(m - 1) * np.asarray(g.psi(total), dtype=float)
-            for e in excl[:m]:
-                sf += np.asarray(g.psi(e), dtype=float)
-            mix += p * sf
-    return _unwrap(mix, x)
-
-
-def _coupled_curves(spec: DependentSampleSpec, x):
-    """Coupled survival at every x and hazard at the x > 0 points, from one
-    pass over the marginal rows.
-
-    The hazard differentiates the closed-form survival through psi' and
-    phi' = 1/psi'(phi), so it needs no finite differences; it is NaN where
-    the survival is 0.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    g = spec.generator
-    G, H = _rows(spec.marginals, xs, hazard=True)
-    PH = np.asarray(g.phi(G), dtype=float)
-    sf = _coupled_sf(g, PH)
-    pos = xs > 0.0
-    k = int(np.count_nonzero(pos))
-    # on a Grid u ascends, so the x > 0 points lead and a slice takes them
-    cols = slice(k) if pos[:k].all() else pos
-    if spec.n == 1:
-        # one unit never fails twice; where phi(G) = inf its W would be 0/0
-        return sf, np.zeros_like(sf[cols])
-    G, H, PH, denom = G[:, cols], H[:, cols], PH[:, cols], sf[cols]
-    # d/dx phi(G_j) = G_j' / psi'(phi(G_j)) with G_j' = -G_j * hazard_j
-    W = (-G * H) / np.asarray(g.psi_prime(PH), dtype=float)
-    total = PH.sum(axis=0)
-    wsum = W.sum(axis=0)
-    sf_prime = np.zeros_like(total)
-    for excl, w_excl in zip(_leave_one_out(np.add, PH), _leave_one_out(np.add, W)):
-        sf_prime += np.asarray(g.psi_prime(excl), dtype=float) * w_excl
-    sf_prime -= (spec.n - 1) * np.asarray(g.psi_prime(total), dtype=float) * wsum
-    # != 0, not > 0: a negative survival from a non-copula psi keeps its quotient
-    hz = np.divide(-sf_prime, denom, out=np.full_like(denom, np.nan), where=denom != 0.0)
-    return sf, hz
+    return _unwrap(_coupled_curves(spec, x, law)[0], x)
 
 
 def second_order_hazard_dependent(spec: DependentSampleSpec, x):
@@ -269,7 +264,7 @@ def second_order_hazard_dependent(spec: DependentSampleSpec, x):
     chain rule; NaN where the survival is 0."""
     if np.any(np.asarray(x, dtype=float) <= 0.0):
         raise ValueError("hazard is evaluated for x > 0 only")
-    return _unwrap(_coupled_curves(spec, x)[1], x)
+    return _unwrap(_coupled_curves(spec, x, hazard=True)[1], x)
 
 
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
@@ -391,7 +386,7 @@ def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.nda
     if x < 0.0:
         raise ValueError("time must be nonnegative")
     g = spec.generator
-    G = np.array([float(mphr_sf(m, x)) for m in spec.marginals])
+    G = _rows(spec.marginals, x)[:, 0]
     if not np.all((G >= 0.0) & (G <= 1.0 + 1e-12)):
         raise ValueError("copula coordinates must lie in [0, 1]")
     G = np.minimum(G, 1.0)

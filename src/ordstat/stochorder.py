@@ -255,7 +255,7 @@ def _side_curves(side: Side, law: SampleSizeLaw | None, grid: Grid,
     bases = {m.baseline for m in side.marginals}
     if hazard and not (side.generator.name == "independence"
                        and len(lams) == 1 and len(bases) == 1):
-        return _coupled_curves(side, xs)
+        return _coupled_curves(side, xs, hazard=True)
     return (second_order_sf_dependent(side, xs),
             second_order_hazard_independent(side.marginals, grid.positive_x) if hazard else None)
 

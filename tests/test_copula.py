@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestBuiltins:
         assert gen.psi(0.0) == pytest.approx(1.0, abs=1e-15)
         assert gen.phi(1.0) == pytest.approx(0.0, abs=1e-15)
         assert gen.phi(1e-12) > gen.phi(1e-3)
+
+    @pytest.mark.parametrize("gen", ALL_BUILTINS + [builtin_generator("power_tilt", 1.0)],
+                             ids=lambda g: f"{g.name}{g.params.get('theta', '')}")
+    def test_psi_prime_vanishes_at_infinity(self, gen):
+        # a failed unit has phi(G) = inf; its psi' must be the limit -0, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = np.asarray(gen.psi_prime(np.array([0.5, math.inf])))
+        assert np.isfinite(d[0]) and d[1] == 0.0 and np.signbit(d[1])
 
     def test_alias_names(self):
         assert builtin_generator("example1", 0.1).name == "exp_tilt"

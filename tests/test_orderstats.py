@@ -178,6 +178,50 @@ class TestSurvivalTail:
         assert 0.0 < sf[-1] < 1e-30
 
 
+def mp_generator(g, mp):
+    """psi and phi of a builtin generator in mpmath arithmetic."""
+    th = mp.mpf(g.params.get("theta", 1.0))
+    return {
+        "independence": (lambda s: mp.exp(-s), lambda u: -mp.log(u)),
+        "exp_tilt": (lambda s: mp.exp((1 - mp.exp(s)) / th),
+                     lambda u: mp.log1p(-th * mp.log(u))),
+        "power_tilt": (lambda s: mp.exp(1 - (1 + s) ** th),
+                       lambda u: (1 - mp.log(u)) ** (1 / th) - 1),
+        "clayton": (lambda s: (1 + s) ** (-1 / th), lambda u: u ** -th - 1),
+    }[g.name]
+
+
+def mp_marginal_sf(m, x, mp):
+    """G of a Weibull-based marginal at the double x, in mpmath arithmetic."""
+    z = m.lam * -(mp.mpf(m.baseline.a) * mp.mpf(x)) ** m.baseline.b
+    return m.alpha * mp.exp(z) / (m.alpha - (1 - m.alpha) * mp.expm1(z))
+
+
+class TestMpmathReference:
+    def test_coupled_survival_matches_50_digit_closed_form(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(59)
+        thetas = {"exp_tilt": (0.05, 1.0), "power_tilt": (0.5, 8.0), "clayton": (0.2, 8.0)}
+        worst = 0.0
+        with mp.workdps(50):
+            for _ in range(60):
+                name = ["independence", *thetas][rng.integers(4)]
+                gen = builtin_generator(name, rng.uniform(*thetas[name]) if name in thetas
+                                        else None)
+                spec = random_spec(rng, int(rng.integers(2, 17)), gen)
+                # body points: every phi(G) at most 1e3
+                xs = rng.choice(Grid.default().x, 8)
+                xs = xs[np.all(gen.phi(_rows(spec.marginals, xs)) <= 1e3, axis=0)]
+                psi, phi = mp_generator(gen, mp)
+                for x, sf in zip(xs, second_order_sf_dependent(spec, xs)):
+                    ph = [phi(mp_marginal_sf(m, x, mp)) for m in spec.marginals]
+                    # each leave-one-out sum formed directly, not as total - term
+                    ref = (mp.fsum(psi(mp.fsum(ph[:i] + ph[i + 1:])) for i in range(spec.n))
+                           - (spec.n - 1) * psi(mp.fsum(ph)))
+                    worst = max(worst, abs(sf - float(ref)))
+        assert worst <= 1e-14
+
+
 class TestIndependentSurvival:
     def test_three_homogeneous_units(self):
         ms = (MphrMarginal(1.0, 1.0, EXP),) * 3
@@ -250,12 +294,13 @@ class TestRandomSampleSize:
         counted = DependentSampleSpec(spec.marginals, ArchimedeanGenerator(
             gen.name, psi=gen.psi, phi=phi, psi_prime=gen.psi_prime))
         # zero mass at the first size, at a middle size and at the last one;
-        # a one-unit law keeps its whole mass at 1
+        # a one-unit law keeps its whole mass at 1; last, a point mass at n
         laws = []
         for zero in sorted({0, n // 2, n - 1}):
             w = rng.uniform(0.1, 1.0, n)
             w[zero] = 0.0 if n > 1 else 1.0
             laws.append(SampleSizeLaw(w / w.sum()))
+        laws.append(SampleSizeLaw([0.0] * (n - 1) + [1.0]))
         # the far grid reaches coordinates whose phi is infinite
         grids = (Grid.default(), Grid(np.geomspace(1e-300, 1.0, 300)))
         for grid in grids:
@@ -269,6 +314,8 @@ class TestRandomSampleSize:
                 expected = sum(p * per_size[m - 1] for m, p in law.pmf if p > 0.0)
                 np.testing.assert_allclose(sf, expected, rtol=0.0, atol=4e-15)
                 assert np.all((sf >= 0.0) & (sf <= 1.0))
+            # a plain side is the point mass at n, bit for bit
+            assert np.array_equal(sf, per_size[-1])
 
     def test_support_beyond_sample_rejected(self):
         spec = iid_exp_spec(2)
@@ -460,7 +507,7 @@ class TestCoupledCurves:
                 if n == 1:
                     warnings.simplefilter("error", RuntimeWarning)
                 for grid in grids:
-                    sf, hz = _coupled_curves(spec, grid.x)
+                    sf, hz = _coupled_curves(spec, grid.x, hazard=True)
                     assert np.array_equal(sf, second_order_sf_dependent(spec, grid.x),
                                           equal_nan=True)
                     assert np.array_equal(
@@ -480,6 +527,19 @@ class TestCoupledCurves:
             sf = second_order_sf_dependent(spec, xs)
         np.testing.assert_array_equal(sf, [1.0, 1.0])
         assert np.all(hz == 0.0) and not np.signbit(hz).any()
+
+    @pytest.mark.parametrize("gen", ORACLE_GENERATORS[:4], ids=lambda g: g.name)
+    def test_hazard_after_one_unit_fails(self, gen):
+        # at x = 800 the first unit's survival underflows to 0 (phi = inf) and
+        # the second one's is e^-8, so the second failure is the second unit's
+        spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP), MphrMarginal(1.0, 0.01, EXP)),
+                                   gen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hz = second_order_hazard_dependent(spec, 800.0)
+            sf = second_order_sf_dependent(spec, 800.0)
+        assert sf > 0.0
+        assert hz == pytest.approx(0.01, rel=1e-12, abs=0.0)
 
 
 class TestExceedanceCounts:
