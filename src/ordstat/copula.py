@@ -65,14 +65,17 @@ def _numeric_inverse(psi):
 
 
 def _numeric_derivative(psi):
-    """Central difference with step max(1e-6, 1e-6*x), one-sided near 0."""
+    """Central difference with step max(1e-6, 1e-6*x), one-sided near 0, and
+    the limit -0 at x = inf, as the builtins give."""
 
     def psi_prime(x):
         x = np.asarray(x, dtype=float)
+        at_inf = x == math.inf
+        x = np.where(at_inf, 0.0, x)
         h = np.maximum(1e-6, 1e-6 * np.abs(x))
         lo = np.maximum(x - h, 0.0)
         hi = x + h
-        out = (psi(hi) - psi(lo)) / (hi - lo)
+        out = np.where(at_inf, -0.0, (psi(hi) - psi(lo)) / (hi - lo))
         return out[()] if out.ndim == 0 else out
 
     return psi_prime
@@ -201,15 +204,17 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
 
 
 def check_log_concavity(g: ArchimedeanGenerator):
-    """True when psi'/psi is non-increasing on 200 points up to phi(1e-6).
+    """True when psi'/psi is non-increasing on 201 points from 0 to phi(1e-6).
 
     Returns (flag, worst margin), the largest upward step of psi'/psi between
     grid points; the grid ends at 50 where phi(1e-6) is not finite and positive.
+    It starts at 0 because a generator that is not log-concave, such as
+    Clayton's, may show it only near the origin.
     """
     x_max = float(g.phi(1e-6))
     if not math.isfinite(x_max) or x_max <= 0.0:
         x_max = 50.0
-    xs = np.linspace(x_max / 200, x_max, 200)
+    xs = np.linspace(0.0, x_max, 201)
     psi_vals = np.asarray(g.psi(xs), dtype=float)
     dpsi = np.asarray(g.psi_prime(xs), dtype=float)
     ratio = dpsi / psi_vals

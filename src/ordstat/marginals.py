@@ -10,14 +10,13 @@ NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
 
 __all__ = [
     "Weibull",
     "Exponential",
-    "Baseline",
     "MphrMarginal",
     "mphr_cdf",
     "mphr_sf",
@@ -80,36 +79,9 @@ class Weibull:
         return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class Exponential:
-    """Constant-hazard baseline, the b=1 Weibull."""
-
-    rate: float
-
-    family: ClassVar[str] = "exponential"
-
-    def __post_init__(self):
-        if not 0.0 < self.rate < np.inf:
-            raise ValueError(f"Exponential needs a finite rate > 0, got {self.rate}")
-
-    def log_sf(self, x):
-        return -self.rate * _as_time(x)
-
-    def sf(self, x):
-        return np.exp(self.log_sf(x))
-
-    def hazard(self, x):
-        return self.rate + 0.0 * _as_time(x)
-
-    def quantile(self, v):
-        v = np.asarray(v, dtype=float)
-        if np.any(v <= 0.0) or np.any(v > 1.0):
-            raise ValueError("survival level must lie in (0, 1]")
-        out = -np.log(v) / self.rate
-        return out[()] if out.ndim == 0 else out
-
-
-Baseline = Union[Weibull, Exponential]
+def Exponential(rate: float) -> Weibull:
+    """Constant-hazard baseline: the shape-1 Weibull with inverse scale ``rate``."""
+    return Weibull(rate, 1.0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +95,7 @@ class MphrMarginal:
 
     alpha: float
     lam: float
-    baseline: Baseline
+    baseline: Weibull
 
     def __post_init__(self):
         if not 0.0 < self.alpha < np.inf:
@@ -183,7 +155,7 @@ def distortion_h(u, alpha: float, lam: float):
     return -np.expm1(z) / _tilt_denominator(alpha, z)
 
 
-def tilt_cdf(x, alpha: float, baseline: Baseline):
+def tilt_cdf(x, alpha: float, baseline: Weibull):
     """Tilt family written on the survival side: F / (1 - (1-alpha) * Fbar)."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -191,7 +163,7 @@ def tilt_cdf(x, alpha: float, baseline: Baseline):
     return -np.expm1(ls) / _tilt_denominator(alpha, ls)
 
 
-def dual_tilt_cdf(x, alpha: float, baseline: Baseline):
+def dual_tilt_cdf(x, alpha: float, baseline: Weibull):
     """Dual tilt family written on the cdf side: alpha * F / (1 - (1-alpha) * F).
 
     Evaluating ``tilt_cdf`` at tilt 1/alpha gives the same distribution.

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .copula import PHI_CLAMP_U, ArchimedeanGenerator, builtin_generator
-from .marginals import Baseline, MphrMarginal, Weibull, _tilt_denominator
+from .marginals import MphrMarginal, Weibull, _tilt_denominator
 
 __all__ = [
     "DependentSampleSpec",
@@ -105,7 +105,7 @@ class MultipleOutlierSpec:
     lambda_main: float
     p: int
     q: int
-    baseline: Baseline
+    baseline: Weibull
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -142,7 +142,7 @@ def _rows(marginals: Sequence[MphrMarginal], x, hazard: bool = False):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     G = np.empty((len(marginals), xs.size))
     H = np.empty_like(G) if hazard else None
-    per_base: dict[Baseline, tuple] = {}
+    per_base: dict[Weibull, tuple] = {}
     for i, m in enumerate(marginals):
         if m.baseline not in per_base:
             per_base[m.baseline] = (m.baseline.log_sf(xs),
@@ -182,7 +182,10 @@ def _second_order_sf(rows: np.ndarray, op, psi, law: SampleSizeLaw):
     and total the leave-one-out and full op-folds of the first m rows.
 
     Returns the mixture and the walk's final ``(excl, total)``.  psi runs
-    only at sizes the law gives mass to.
+    only at sizes the law gives mass to.  The mixture is clamped to at most
+    1 (NaN passes): the (m-1)-fold cancellation overshoots by up to about
+    1.6e-14 near the origin, and a law mixture's sum of p_m * 1 by one ulp
+    at x = 0.  The nonnegative-term form of ROADMAP item 1 removes the cause.
     """
     mix = np.zeros_like(rows[0])
     for (m, p), (excl, total) in zip(law.pmf, _leave_one_out(op, rows)):
@@ -191,6 +194,7 @@ def _second_order_sf(rows: np.ndarray, op, psi, law: SampleSizeLaw):
             for e in excl:
                 sf += np.asarray(psi(e), dtype=float)
             mix += p * sf
+    np.minimum(mix, 1.0, out=mix)
     return mix, excl, total
 
 
@@ -270,9 +274,10 @@ def second_order_hazard_dependent(spec: DependentSampleSpec, x):
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
     """Hazard of the independent second-order statistic, common lam/baseline.
 
-    lam*r(x) * [ sum_i 1/(1-(1-alpha_i) s)  -  A / ((1-s) A + s) ],
-    with s = Fbar^lam and A = sum_i 1/alpha_i.  The second term is the
-    algebraically reduced form of the ratio, stable as s -> 0.
+    lam*r(x) * sum_i A_{-i} / (1-(1-alpha_i) s)  /  (A + 1/expm1(-z)),
+    with z = lam log Fbar, s = e^z, A = sum_i 1/alpha_i and A_{-i} that sum
+    without unit i.  Every term is nonnegative, so nothing cancels as x -> 0,
+    where the hazard is 0, nor as s -> 0.
     """
     lams = {m.lam for m in marginals}
     bases = {m.baseline for m in marginals}
@@ -283,16 +288,20 @@ def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0.0):
         raise ValueError("hazard is evaluated for x > 0 only")
-    s = np.exp(lam * base.log_sf(xs))
+    z = lam * base.log_sf(xs)
     r = np.asarray(base.hazard(xs), dtype=float)
-    alphas = np.array([m.alpha for m in marginals])
-    A = float(np.sum(1.0 / alphas))
-    term1 = np.sum(1.0 / (1.0 - (1.0 - alphas)[:, None] * s[None, :]), axis=0)
-    hz = lam * r * (term1 - A / ((1.0 - s) * A + s))
-    return _unwrap(hz, x)
+    inv = [1.0 / m.alpha for m in marginals]
+    terms = np.zeros_like(z)
+    for i, m in enumerate(marginals):
+        # A_{-i} summed directly, never as A - 1/alpha_i
+        terms += math.fsum(inv[:i] + inv[i + 1:]) / _tilt_denominator(m.alpha, z)
+    # -z >= +0, so 1/expm1(-z) is +inf where z = 0, and the hazard there is 0
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_odds = 1.0 / np.expm1(-z)
+    return _unwrap(lam * r * terms / (math.fsum(inv) + inv_odds), x)
 
 
-def baseline_time_scale(baseline: Baseline, x):
+def baseline_time_scale(baseline: Weibull, x):
     """Cumulative-hazard time t = -log Fbar(x) of the baseline."""
     return -baseline.log_sf(x)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from .copula import builtin_generator
-from .marginals import Baseline, Exponential, MphrMarginal, Weibull
+from .marginals import Exponential, MphrMarginal, Weibull
 from .orderstats import DependentSampleSpec, MultipleOutlierSpec, SampleSizeLaw
 from .stochorder import THEOREM_TAGS, Grid, Scenario
 
@@ -64,7 +64,7 @@ def _positive(value, where: str) -> float:
     return v
 
 
-def _parse_baseline(doc: dict) -> Baseline:
+def _parse_baseline(doc: dict) -> Weibull:
     obj = _get(doc, "baseline", "scenario")
     if not isinstance(obj, dict):
         raise ScenarioError("baseline must be an object")
@@ -111,7 +111,7 @@ def _as_vector(value, length_hint: int | None, where: str) -> list[float]:
     return [v] * length_hint
 
 
-def _parse_side(doc: dict, key: str, baseline: Baseline, generator):
+def _parse_side(doc: dict, key: str, baseline: Weibull, generator):
     obj = _get(doc, key, "scenario")
     if not isinstance(obj, dict):
         raise ScenarioError(f"{key} must be an object")

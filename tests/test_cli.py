@@ -167,6 +167,15 @@ class TestCompare:
         r = run_cli("compare", path, "--out-dir", tmp_path)
         assert r.returncode == 2
 
+    def test_clayton_recoupled_first_example_fails_log_concavity(self, tmp_path, capsys):
+        # Clayton's psi is log-convex, so theorem 1's hypothesis fails
+        doc = small_grid(example_scenario_document(1))
+        doc["generator"] = {"name": "clayton", "params": {"theta": 2.0}}
+        path = tmp_path / "clayton.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "[FAIL] generator_log_concave" in capsys.readouterr().out
+
     def test_malformed_json_exits_64(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

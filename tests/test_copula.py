@@ -46,10 +46,13 @@ class TestBuiltins:
         assert gen.phi(1.0) == pytest.approx(0.0, abs=1e-15)
         assert gen.phi(1e-12) > gen.phi(1e-3)
 
-    @pytest.mark.parametrize("gen", ALL_BUILTINS + [builtin_generator("power_tilt", 1.0)],
+    @pytest.mark.parametrize("gen", ALL_BUILTINS + [
+        builtin_generator("power_tilt", 1.0),
+        ArchimedeanGenerator("custom", psi=lambda t: np.exp(-t))],
                              ids=lambda g: f"{g.name}{g.params.get('theta', '')}")
     def test_psi_prime_vanishes_at_infinity(self, gen):
-        # a failed unit has phi(G) = inf; its psi' must be the limit -0, not NaN
+        # a failed unit has phi(G) = inf; its psi' must be the limit -0, not NaN,
+        # also from the central difference of a custom psi
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             d = np.asarray(gen.psi_prime(np.array([0.5, math.inf])))
@@ -236,5 +239,13 @@ class TestLogConcavity:
     def test_clayton_not_log_concave(self):
         # log psi = -log(1+x)/theta is convex, the negative control
         ok, margin = check_log_concavity(CLAYTON)
+        assert not ok
+        assert margin > 1e-9
+
+    @pytest.mark.parametrize("theta", [2.0, 8.0])
+    def test_clayton_not_log_concave_at_any_theta(self, theta):
+        # (log psi)'' = 1/(theta (1+x)^2) peaks at the origin; a grid that
+        # starts far from 0 sees psi'/psi flat and passes large theta
+        ok, margin = check_log_concavity(builtin_generator("clayton", theta))
         assert not ok
         assert margin > 1e-9

@@ -47,6 +47,7 @@ class TestBaselines:
     def test_exponential_matches_unit_shape_weibull(self):
         e = Exponential(0.8)
         w = Weibull(0.8, 1.0)
+        assert e == w
         xs = np.linspace(0, 10, 50)
         np.testing.assert_allclose(e.sf(xs), w.sf(xs), atol=1e-15)
         assert e.hazard(3.0) == pytest.approx(0.8)

@@ -95,6 +95,20 @@ class TestDependentSurvival:
             spec = random_spec(rng, n)
             assert second_order_sf_dependent(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_at_most_one_near_origin(self):
+        # sum_i psi(E_i) - (n-1) psi(T) cancels (n-1)-fold there
+        rng = np.random.default_rng(64)
+        thetas = {"exp_tilt": (0.05, 1.0), "power_tilt": (0.5, 8.0), "clayton": (0.2, 8.0)}
+        worst = 0.0
+        for _ in range(200):
+            name = ["independence", *thetas][rng.integers(4)]
+            gen = builtin_generator(name, rng.uniform(*thetas[name]) if name in thetas
+                                    else None)
+            spec = random_spec(rng, int(rng.integers(2, 17)), gen)
+            worst = max(worst, np.max(second_order_sf_dependent(
+                spec, np.geomspace(1e-8, 1e-2, 50))))
+        assert worst <= 1.0
+
     def test_single_unit_never_fails_twice(self):
         spec = random_spec(np.random.default_rng(22), 1)
         xs = np.linspace(0.0, 30.0, 20)
@@ -192,9 +206,11 @@ def mp_generator(g, mp):
 
 
 def mp_marginal_sf(m, x, mp):
-    """G of a Weibull-based marginal at the double x, in mpmath arithmetic."""
+    """G of a Weibull-based marginal at x, in mpmath arithmetic."""
     z = m.lam * -(mp.mpf(m.baseline.a) * mp.mpf(x)) ** m.baseline.b
-    return m.alpha * mp.exp(z) / (m.alpha - (1 - m.alpha) * mp.expm1(z))
+    # 1 - alpha in mpmath: its double rounding alone moves the O(x^b) slope
+    alpha = mp.mpf(m.alpha)
+    return alpha * mp.exp(z) / (alpha - (1 - alpha) * mp.expm1(z))
 
 
 class TestMpmathReference:
@@ -261,6 +277,14 @@ class TestRandomSampleSize:
         spec = random_spec(rng, 4)
         law = SampleSizeLaw([0.05, 0.2, 0.3, 0.45])
         assert second_order_sf_random_n(spec, law, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_law_mixture_at_origin_is_not_above_one(self):
+        # the p_m sum to 1.0 by fsum, and their rounded sum is one ulp above
+        law = SampleSizeLaw([0.5017535083586557, 0.1583447529128556,
+                             0.12389774916694181, 0.21600398956154693])
+        spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP),) * 4,
+                                   builtin_generator("clayton", 2.0))
+        assert second_order_sf_random_n(spec, law, 0.0) == 1.0
 
     def test_first_example_mixture_curve_shape(self):
         sc = builtin_example(1)
@@ -376,6 +400,40 @@ class TestIndependentHazard:
         ms = (MphrMarginal(1.0, 1.0, EXP),) * 2
         with pytest.raises(ValueError):
             second_order_hazard_independent(ms, 0.0)
+
+    def test_matches_60_digit_derivative_down_to_the_origin(self):
+        # -d/dx log of prod_i G_i * (1 + A expm1(-z)), the independent survival,
+        # differentiated in mpmath; near x = 0 a difference of two O(1) terms
+        # loses every digit of the O(x^b) hazard
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(61)
+        xs = np.array([1e-8, 1e-5, 1e-3, 0.1, 1.0, 5.0])
+        with mp.workdps(60):
+            for _ in range(25):
+                base = Weibull(rng.uniform(0.3, 2.0), rng.uniform(0.4, 2.5))
+                lam = rng.uniform(0.05, 3.0)
+                ms = tuple(MphrMarginal(rng.uniform(0.05, 1.0), lam, base)
+                           for _ in range(int(rng.integers(2, 10))))
+                A = mp.fsum(1 / mp.mpf(m.alpha) for m in ms)
+
+                def log_sf(t):
+                    z = lam * -(mp.mpf(base.a) * t) ** base.b
+                    return (mp.fsum(mp.log(mp_marginal_sf(m, t, mp)) for m in ms)
+                            + mp.log1p(A * mp.expm1(-z)))
+
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    hz = second_order_hazard_independent(ms, xs)
+                for x, h in zip(xs, hz):
+                    ref = -mp.diff(log_sf, mp.mpf(x))
+                    assert h == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    def test_zero_where_the_baseline_has_not_moved(self):
+        # (a x)^b underflows to 0, so expm1(-z) = 0 and the hazard is exactly 0
+        ms = (MphrMarginal(0.5, 1.0, Weibull(1.0, 2.0)), MphrMarginal(0.25, 1.0, Weibull(1.0, 2.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert second_order_hazard_independent(ms, 1e-200) == 0.0
 
 
 class TestDependentHazard:
@@ -528,7 +586,7 @@ class TestCoupledCurves:
         np.testing.assert_array_equal(sf, [1.0, 1.0])
         assert np.all(hz == 0.0) and not np.signbit(hz).any()
 
-    @pytest.mark.parametrize("gen", ORACLE_GENERATORS[:4], ids=lambda g: g.name)
+    @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
     def test_hazard_after_one_unit_fails(self, gen):
         # at x = 800 the first unit's survival underflows to 0 (phi = inf) and
         # the second one's is e^-8, so the second failure is the second unit's
