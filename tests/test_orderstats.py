@@ -403,8 +403,8 @@ class TestIndependentHazard:
 
     def test_matches_60_digit_derivative_down_to_the_origin(self):
         # -d/dx log of prod_i G_i * (1 + A expm1(-z)), the independent survival,
-        # differentiated in mpmath; near x = 0 a difference of two O(1) terms
-        # loses every digit of the O(x^b) hazard
+        # differentiated in mpmath; near x = 0 the hazard is O(x^b) while each
+        # marginal hazard is O(1), so a difference form would lose its digits
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(61)
         xs = np.array([1e-8, 1e-5, 1e-3, 0.1, 1.0, 5.0])
