@@ -32,7 +32,8 @@ class OrderVerdict:
 
 
 def _verdict(margins: np.ndarray) -> OrderVerdict:
-    worst = float(np.min(margins))
+    # + 0.0 turns the -0.0 of an exactly met total into +0.0
+    worst = float(np.min(margins)) + 0.0
     if worst >= -TOL:
         return OrderVerdict(True, None, worst)
     first = int(np.argmax(margins < -TOL)) + 1

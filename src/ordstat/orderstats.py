@@ -5,20 +5,22 @@ survives the first component failure and dies with the second.  Closed
 forms are provided for coupled samples (through an Archimedean survival
 copula), independent samples, two-block multiple-outlier samples, and
 random sample sizes, plus an exact subset-enumeration oracle used to
-cross-check all of them.  The coupled, random-size and independent forms
-share one walk that grows every leave-one-out sum left to right.
+cross-check all of them.  Coupled and random-size samples share one kernel
+over the phi rows, and independent samples, two-block ones included, one
+over the failure odds; both grow every leave-one-out sum in one walk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .copula import PHI_CLAMP_U, ArchimedeanGenerator, builtin_generator
-from .marginals import MphrMarginal, Weibull, _tilt_denominator
+from .marginals import Exponential, MphrMarginal, Weibull, _tilt_denominator
 
 __all__ = [
     "DependentSampleSpec",
@@ -130,25 +132,31 @@ def outlier_marginals(spec: MultipleOutlierSpec) -> tuple[MphrMarginal, ...]:
     return (out,) * spec.p + (main,) * spec.q
 
 
+def _tilted(marginals: Sequence[MphrMarginal], xs: np.ndarray, hazard: bool):
+    """Yield ``(m, z, r)`` per marginal: z = lam log Fbar and, with ``hazard``,
+    the baseline hazard r (else None), from one ``log_sf`` (and ``hazard``)
+    per distinct baseline."""
+    per_base: dict[Weibull, tuple] = {}
+    for m in marginals:
+        if m.baseline not in per_base:
+            per_base[m.baseline] = (m.baseline.log_sf(xs),
+                                    m.baseline.hazard(xs) if hazard else None)
+        log_sf, r = per_base[m.baseline]
+        yield m, m.lam * log_sf, r
+
+
 def _rows(marginals: Sequence[MphrMarginal], x, hazard: bool = False):
     """Marginal survivals G, shape (n, npoints), and with ``hazard`` also the
     marginal hazards H.
 
-    Row by row the operations of ``mphr_sf`` and ``mphr_hazard``, with one
-    ``log_sf`` (and ``hazard``) per distinct baseline.  Rows, not one (n,
-    npoints) broadcast: a block that large is a fresh allocation per
+    Row by row the operations of ``mphr_sf`` and ``mphr_hazard``.  Rows, not
+    one (n, npoints) broadcast: a block that large is a fresh allocation per
     temporary, which made the hazard rows 2-3x slower at n = 16.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     G = np.empty((len(marginals), xs.size))
     H = np.empty_like(G) if hazard else None
-    per_base: dict[Weibull, tuple] = {}
-    for i, m in enumerate(marginals):
-        if m.baseline not in per_base:
-            per_base[m.baseline] = (m.baseline.log_sf(xs),
-                                    m.baseline.hazard(xs) if hazard else None)
-        log_sf, r = per_base[m.baseline]
-        z = m.lam * log_sf
+    for i, (m, z, r) in enumerate(_tilted(marginals, xs, hazard)):
         denom = _tilt_denominator(m.alpha, z)
         G[i] = m.alpha * np.exp(z) / denom
         if hazard:
@@ -160,26 +168,39 @@ def _unwrap(value: np.ndarray, x):
     return float(value[0]) if np.ndim(x) == 0 else value
 
 
-def _leave_one_out(op, rows: np.ndarray):
-    """After row m yield ``(excl[:m], total)``: op over the first m rows but
-    row i, for each i < m, and op over all m.
+def _positive(xs: np.ndarray):
+    """Index of the x > 0 points, where hazards are evaluated."""
+    pos = xs > 0.0
+    k = int(np.count_nonzero(pos))
+    # on a Grid u ascends, so the x > 0 points lead and a slice takes them
+    return slice(k) if pos[:k].all() else pos
 
-    Every fold runs left to right and none is undone by subtraction, so an
+
+def _check_hazard_times(x):
+    if np.any(np.asarray(x, dtype=float) <= 0.0):
+        raise ValueError("hazard is evaluated for x > 0 only")
+
+
+def _leave_one_out(rows: np.ndarray):
+    """After row m yield ``(excl[:m], total)``: the sum of the first m rows
+    but row i, for each i < m, and the sum of all m.
+
+    Every sum runs left to right and none is undone by subtraction, so an
     infinite or outsized row is never lost.  Later steps update the yielded
     arrays in place.
     """
     excl = np.empty_like(rows)
-    total = np.full_like(rows[0], op.identity)
+    total = np.zeros_like(rows[0])
     for m, row in enumerate(rows):
-        op(excl[:m], row, out=excl[:m])
+        np.add(excl[:m], row, out=excl[:m])
         excl[m] = total
-        op(total, row, out=total)
+        np.add(total, row, out=total)
         yield excl[:m + 1], total
 
 
-def _second_order_sf(rows: np.ndarray, op, psi, law: SampleSizeLaw):
+def _second_order_sf(rows: np.ndarray, psi, law: SampleSizeLaw):
     """Mixture over m ~ law of sum_i psi(excl_i) - (m-1) psi(total), with excl
-    and total the leave-one-out and full op-folds of the first m rows.
+    and total the leave-one-out and full sums of the first m rows.
 
     Returns the mixture and the walk's final ``(excl, total)``.  psi runs
     only at sizes the law gives mass to.  The mixture is clamped to at most
@@ -188,7 +209,7 @@ def _second_order_sf(rows: np.ndarray, op, psi, law: SampleSizeLaw):
     at x = 0.  The nonnegative-term form of ROADMAP item 1 removes the cause.
     """
     mix = np.zeros_like(rows[0])
-    for (m, p), (excl, total) in zip(law.pmf, _leave_one_out(op, rows)):
+    for (m, p), (excl, total) in zip(law.pmf, _leave_one_out(rows)):
         if p > 0.0:
             sf = -(m - 1) * np.asarray(psi(total), dtype=float)
             for e in excl:
@@ -213,13 +234,10 @@ def _coupled_curves(spec: DependentSampleSpec, x, law: SampleSizeLaw | None = No
     rows = _rows(spec.marginals[:law.max_support], xs, hazard=hazard)
     G, H = rows if hazard else (rows, None)
     PH = np.asarray(g.phi(G), dtype=float)
-    sf, excl, total = _second_order_sf(PH, np.add, g.psi, law)
+    sf, excl, total = _second_order_sf(PH, g.psi, law)
     if not hazard:
         return sf, None
-    pos = xs > 0.0
-    k = int(np.count_nonzero(pos))
-    # on a Grid u ascends, so the x > 0 points lead and a slice takes them
-    cols = slice(k) if pos[:k].all() else pos
+    cols = _positive(xs)
     if spec.n == 1:
         # one unit never fails twice: its hazard is exactly +0
         return sf, np.zeros_like(sf[cols])
@@ -229,13 +247,65 @@ def _coupled_curves(spec: DependentSampleSpec, x, law: SampleSizeLaw | None = No
     # with phi(G_j) = inf has failed and adds no slope
     W = np.divide(-G * H, np.asarray(g.psi_prime(PH), dtype=float),
                   out=np.zeros_like(PH), where=np.isfinite(PH))
-    *_, (w_excl, wsum) = _leave_one_out(np.add, W)
+    *_, (w_excl, wsum) = _leave_one_out(W)
     sf_prime = -(spec.n - 1) * np.asarray(g.psi_prime(total), dtype=float) * wsum
     for e, w in zip(excl, w_excl):
         sf_prime += np.asarray(g.psi_prime(e), dtype=float) * w
     # != 0, not > 0: a negative survival from a non-copula psi keeps its quotient
     hz = np.divide(-sf_prime, denom, out=np.full_like(denom, np.nan), where=denom != 0.0)
     return sf, hz
+
+
+def _independent_curves(marginals: Sequence[MphrMarginal], x, hazard: bool = False):
+    """Independent survival at every x and, with ``hazard``, the hazard at the
+    x > 0 points (else None), from the failure odds o_i = F_i / G_i.
+
+    sf = prod_i G_i * (1 + O) and hazard = sum_i h_i O_{-i} / (1 + O), with O
+    the sum of the odds, O_{-i} that sum without unit i and h_i the marginal
+    hazards.  Every term is nonnegative, so nothing cancels near the origin.
+    The odds are scaled by e^-top, top the largest log odds but at least 0,
+    so none overflows; identical units share one row, weighted by their
+    count.  The log-survival is clamped at 0, so the survival is at most 1.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    cols = _positive(xs)
+    if len(marginals) == 1:
+        # one unit never fails twice: survival exactly 1, hazard exactly +0
+        return np.ones_like(xs), np.zeros_like(xs[cols]) if hazard else None
+    kinds = Counter(marginals)
+    L = np.empty((len(kinds), xs.size))
+    H = np.empty_like(L[:, cols]) if hazard else None
+    log_prod_g = np.zeros_like(xs)
+    for i, (m, z, r) in enumerate(_tilted(kinds, xs, hazard)):
+        # below z = -2000 every G_i is 0, even at the largest alpha: the unit
+        # has failed.  The floor keeps its log G_i and log odds finite and
+        # small enough to cancel, so that they neither give NaN at z = -inf
+        # nor swamp the other units' sum
+        np.maximum(z, -2000.0, out=z)
+        em1 = np.expm1(z)
+        # log o_i = log(-expm1(z_i)) - z_i - log(alpha_i), -inf where z_i = 0
+        with np.errstate(divide="ignore"):
+            L[i] = np.log(-em1) - z - math.log(m.alpha)
+        # log G_i = log(alpha_i) + z_i - log(denom_i), without the cancellation
+        log_prod_g += kinds[m] * (z - np.log1p((m.alpha - 1.0) / m.alpha * em1))
+        if hazard:
+            # count times the marginal hazard lam_i r / denom_i
+            H[i] = kinds[m] * m.lam * r[cols] / (m.alpha - (1.0 - m.alpha) * em1[cols])
+    top = np.maximum(L.max(axis=0), 0.0)
+    q = np.exp(np.subtract(L, top, out=L), out=L)
+    count = np.array(list(kinds.values()), dtype=float)[:, None]
+    *_, (q_excl, Q) = _leave_one_out(count * q)
+    # e^-top (1 + O) - 1, exact where top = 0
+    odds1 = np.expm1(-top) + Q
+    sf = np.exp(np.minimum(log_prod_g + top + np.log1p(odds1), 0.0))
+    if not hazard:
+        return sf, None
+    # O_{-i} of a unit of kind k: the other kinds plus count_k - 1 of its own
+    q_other = q_excl[:, cols]
+    q_other += (count - 1.0) * q[:, cols]
+    # where every other unit has failed, a diverging h_i adds nothing
+    np.multiply(q_other, H, out=q_other, where=q_other > 0.0)
+    return sf, q_other.sum(axis=0) / (1.0 + odds1[cols])
 
 
 def second_order_sf_dependent(spec: DependentSampleSpec, x):
@@ -249,10 +319,8 @@ def second_order_sf_dependent(spec: DependentSampleSpec, x):
 
 
 def second_order_sf_independent(marginals: Sequence[MphrMarginal], x):
-    """Product-form survival for independent units."""
-    point_mass = SampleSizeLaw([0.0] * (len(marginals) - 1) + [1.0])
-    sf, _, _ = _second_order_sf(_rows(marginals, x), np.multiply, lambda v: v, point_mass)
-    return _unwrap(sf, x)
+    """Survival of the second-order statistic of independent units."""
+    return _unwrap(_independent_curves(marginals, x)[0], x)
 
 
 def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
@@ -266,39 +334,14 @@ def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
 def second_order_hazard_dependent(spec: DependentSampleSpec, x):
     """Hazard of the coupled second-order statistic for x > 0, by analytic
     chain rule; NaN where the survival is 0."""
-    if np.any(np.asarray(x, dtype=float) <= 0.0):
-        raise ValueError("hazard is evaluated for x > 0 only")
+    _check_hazard_times(x)
     return _unwrap(_coupled_curves(spec, x, hazard=True)[1], x)
 
 
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
-    """Hazard of the independent second-order statistic, common lam/baseline.
-
-    lam*r(x) * sum_i A_{-i} / (1-(1-alpha_i) s)  /  (A + 1/expm1(-z)),
-    with z = lam log Fbar, s = e^z, A = sum_i 1/alpha_i and A_{-i} that sum
-    without unit i.  Every term is nonnegative, so nothing cancels as x -> 0,
-    where the hazard is 0, nor as s -> 0.
-    """
-    lams = {m.lam for m in marginals}
-    bases = {m.baseline for m in marginals}
-    if len(lams) != 1 or len(bases) != 1:
-        raise ValueError("marginals must share one lam and one baseline")
-    lam = marginals[0].lam
-    base = marginals[0].baseline
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0.0):
-        raise ValueError("hazard is evaluated for x > 0 only")
-    z = lam * base.log_sf(xs)
-    r = np.asarray(base.hazard(xs), dtype=float)
-    inv = [1.0 / m.alpha for m in marginals]
-    terms = np.zeros_like(z)
-    for i, m in enumerate(marginals):
-        # A_{-i} summed directly, never as A - 1/alpha_i
-        terms += math.fsum(inv[:i] + inv[i + 1:]) / _tilt_denominator(m.alpha, z)
-    # -z >= +0, so 1/expm1(-z) is +inf where z = 0, and the hazard there is 0
-    with np.errstate(over="ignore", divide="ignore"):
-        inv_odds = 1.0 / np.expm1(-z)
-    return _unwrap(lam * r * terms / (math.fsum(inv) + inv_odds), x)
+    """Hazard of the independent second-order statistic for x > 0."""
+    _check_hazard_times(x)
+    return _unwrap(_independent_curves(marginals, x, hazard=True)[1], x)
 
 
 def baseline_time_scale(baseline: Weibull, x):
@@ -306,75 +349,30 @@ def baseline_time_scale(baseline: Weibull, x):
     return -baseline.log_sf(x)
 
 
-def _outlier_pieces(spec: MultipleOutlierSpec, t):
-    """Block rates a_i and log block odds log(b_i), overflow-free.
-
-    a_i = lam_i e^(lam_i t) / (e^(lam_i t) - abar) = lam_i / (1 - abar e^(-lam_i t))
-    log b_i = lam_i t + log(1 - abar e^(-lam_i t)) - log(alpha)
-    Only decaying exponentials appear, so arbitrarily large lam*t is safe.
-    """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0.0):
-        raise ValueError("transformed time must be nonnegative")
-    abar = 1.0 - spec.alpha
-    em1 = np.exp(-spec.lambda_out * ts)
-    em2 = np.exp(-spec.lambda_main * ts)
-    a1 = spec.lambda_out / (1.0 - abar * em1)
-    a2 = spec.lambda_main / (1.0 - abar * em2)
-    log_alpha = np.log(spec.alpha)
-    log_b1 = spec.lambda_out * ts + np.log1p(-abar * em1) - log_alpha
-    log_b2 = spec.lambda_main * ts + np.log1p(-abar * em2) - log_alpha
-    return a1, a2, log_b1, log_b2
-
-
-def _outlier_scaled_odds(spec: MultipleOutlierSpec, log_b1, log_b2):
-    """b1, b2, and (n-1) rescaled by the largest odds; all lie in [0, 1]."""
-    log_bmax = np.maximum(log_b1, log_b2)
-    r1 = np.exp(log_b1 - log_bmax)
-    r2 = np.exp(log_b2 - log_bmax)
-    c = (spec.n - 1) * np.exp(-log_bmax)
-    return r1, r2, c, log_bmax
-
-
 def multiple_outlier_second_order_sf(spec: MultipleOutlierSpec, t):
-    """Survival of the two-block second-order statistic in the t scale."""
-    _, _, log_b1, log_b2 = _outlier_pieces(spec, t)
-    p, q = spec.p, spec.q
-    r1, r2, c, log_bmax = _outlier_scaled_odds(spec, log_b1, log_b2)
-    log_sf = (-(p * log_b1 + q * log_b2) + log_bmax
-              + np.log(p * r1 + q * r2 - c))
-    return _unwrap(np.exp(log_sf), t)
+    """Survival of the two-block second-order statistic in the t scale, which
+    is the x scale of the same blocks over the unit exponential baseline."""
+    return multiple_outlier_sf_in_x(replace(spec, baseline=Exponential(1.0)), t)
 
 
 def multiple_outlier_second_order_hazard(spec: MultipleOutlierSpec, t):
-    """Hazard of the two-block second-order statistic in the t scale.
-
-    [p A1 b1 + q A2 b2 - (n-1) A] / [p b1 + q b2 - (n-1)] where the A's mix
-    the two block rates; b_i >= 1 keeps the denominator above zero.  Both
-    sides are rescaled by the largest odds before the ratio is formed.
-    """
-    a1, a2, log_b1, log_b2 = _outlier_pieces(spec, t)
-    p, q = spec.p, spec.q
-    A1 = (p - 1) * a1 + q * a2
-    A2 = p * a1 + (q - 1) * a2
-    A = p * a1 + q * a2
-    r1, r2, c, _ = _outlier_scaled_odds(spec, log_b1, log_b2)
-    denom = p * r1 + q * r2 - c
-    if not np.all(denom > 0.0):
-        raise FloatingPointError("second-order survival denominator must stay positive")
-    hz = (p * A1 * r1 + q * A2 * r2 - A * c) / denom
+    """Hazard of the two-block second-order statistic in the t scale; 0 at
+    t = 0, where no block rate diverges in this scale."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    hz = np.zeros_like(ts)
+    ms = outlier_marginals(replace(spec, baseline=Exponential(1.0)))
+    hz[_positive(ts)] = _independent_curves(ms, ts, hazard=True)[1]
     return _unwrap(hz, t)
 
 
 def multiple_outlier_sf_in_x(spec: MultipleOutlierSpec, x):
     """Survival in the original time scale."""
-    return multiple_outlier_second_order_sf(spec, baseline_time_scale(spec.baseline, x))
+    return second_order_sf_independent(outlier_marginals(spec), x)
 
 
 def multiple_outlier_hazard_in_x(spec: MultipleOutlierSpec, x):
-    """Hazard in the original time scale; chain factor is the baseline hazard."""
-    t = baseline_time_scale(spec.baseline, x)
-    return multiple_outlier_second_order_hazard(spec, t) * spec.baseline.hazard(x)
+    """Hazard in the original time scale, for x > 0."""
+    return second_order_hazard_independent(outlier_marginals(spec), x)
 
 
 def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.ndarray:

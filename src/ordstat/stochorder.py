@@ -28,10 +28,8 @@ from .orderstats import (
     MultipleOutlierSpec,
     SampleSizeLaw,
     _coupled_curves,
-    multiple_outlier_hazard_in_x,
-    multiple_outlier_sf_in_x,
-    second_order_hazard_independent,
-    second_order_sf_dependent,
+    _independent_curves,
+    outlier_marginals,
     second_order_sf_random_n,
 )
 
@@ -128,7 +126,8 @@ def check_st(fx, fy, grid: Grid) -> DominanceReport:
         order="st",
         holds=bool(margins[i] >= -_ST_TOL),
         min_margin=float(margins[i]),
-        witness_x=float(xs[i]),
+        # + 0.0: the origin is x = -log(1) = -0.0
+        witness_x=float(xs[i]) + 0.0,
         curves={"x": xs, "X": fx, "Y": fy},
     )
 
@@ -245,19 +244,13 @@ def _side_curves(side: Side, law: SampleSizeLaw | None, grid: Grid,
                  hazard: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The side's survival over ``grid.x`` and, with ``hazard``, its hazard
     over ``grid.positive_x``."""
-    xs = grid.x
-    if isinstance(side, MultipleOutlierSpec):
-        return (multiple_outlier_sf_in_x(side, xs),
-                multiple_outlier_hazard_in_x(side, grid.positive_x) if hazard else None)
     if law is not None:
-        return second_order_sf_random_n(side, law, xs), None
-    lams = {m.lam for m in side.marginals}
-    bases = {m.baseline for m in side.marginals}
-    if hazard and not (side.generator.name == "independence"
-                       and len(lams) == 1 and len(bases) == 1):
-        return _coupled_curves(side, xs, hazard=True)
-    return (second_order_sf_dependent(side, xs),
-            second_order_hazard_independent(side.marginals, grid.positive_x) if hazard else None)
+        return second_order_sf_random_n(side, law, grid.x), None
+    if isinstance(side, MultipleOutlierSpec):
+        return _independent_curves(outlier_marginals(side), grid.x, hazard)
+    if side.generator.name == "independence":
+        return _independent_curves(side.marginals, grid.x, hazard)
+    return _coupled_curves(side, grid.x, hazard=hazard)
 
 
 def scenario_survival_functions(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:

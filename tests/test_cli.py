@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -71,21 +72,31 @@ class TestReproduce:
         assert x0_row and x0_row[0]["hr_X"] == ""
 
     def test_each_curve_evaluated_once(self, tmp_path, monkeypatch):
-        # count through the names stochorder binds, as the benchmark tracer does
-        calls = {"sf": 0, "hazard": 0}
-        for name in ("second_order_sf_dependent", "second_order_sf_random_n",
-                     "second_order_hazard_independent"):
-            kind = "sf" if "_sf_" in name else "hazard"
-
-            def counted(*args, _fn=getattr(ordstat.stochorder, name), _kind=kind):
-                calls[_kind] += 1
-                return _fn(*args)
+        # count through the names stochorder binds
+        calls = []
+        for name in ("_independent_curves", "_coupled_curves", "second_order_sf_random_n"):
+            def counted(*args, _fn=getattr(ordstat.stochorder, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
 
             monkeypatch.setattr(ordstat.stochorder, name, counted)
-        assert cli.main(["reproduce", "3", "--out-dir", str(tmp_path),
-                         "--grid-points", "150"]) == 0
-        # sf_X, sf_Y and hr_X, hr_Y, shared by the st check and both hr routes
-        assert calls == {"sf": 2, "hazard": 2}
+        for example_id in ("3", "4"):
+            calls.clear()
+            assert cli.main(["reproduce", example_id, "--out-dir", str(tmp_path),
+                             "--grid-points", "150"]) == 0
+            # one pass per side gives its survival and hazard, shared by the st
+            # check and both hr routes
+            assert calls == ["_independent_curves"] * 2
+
+    def test_reports_print_zeros_without_a_sign(self, tmp_path):
+        # the st witness at the origin is x = -log(1), and an exactly met
+        # majorization total is a negated zero
+        for example_id in ("1", "2", "3", "4"):
+            assert cli.main(["reproduce", example_id, "--out-dir", str(tmp_path),
+                             "--grid-points", "150"]) == 0
+            report = (tmp_path / f"example{example_id}_report.txt").read_text()
+            numbers = re.findall(r"(?<![\w.])-\d[\d.]*(?:e[+-]\d+)?", report)
+            assert not [v for v in numbers if float(v) == 0.0]
 
     @pytest.mark.parametrize("example_id", [2, 4])
     def test_remaining_examples_pass(self, tmp_path, example_id):

@@ -55,6 +55,13 @@ def random_spec(rng, n, generator=None):
     return DependentSampleSpec(ms, gen)
 
 
+def random_outlier_spec(rng):
+    base = Weibull(rng.uniform(0.3, 2.0), rng.uniform(0.4, 2.5))
+    return MultipleOutlierSpec(rng.uniform(0.05, 1.0), rng.uniform(0.05, 3.0),
+                               rng.uniform(0.05, 3.0), int(rng.integers(1, 9)),
+                               int(rng.integers(1, 9)), base)
+
+
 def custom_clayton(theta):
     """Clayton psi alone, so phi falls back to the numeric inverse."""
     return ArchimedeanGenerator("custom_clayton", psi=lambda t: np.power(
@@ -96,7 +103,8 @@ class TestDependentSurvival:
             assert second_order_sf_dependent(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_at_most_one_near_origin(self):
-        # sum_i psi(E_i) - (n-1) psi(T) cancels (n-1)-fold there
+        # sum_i psi(E_i) - (n-1) psi(T) cancels (n-1)-fold there; the odds form
+        # of independent and two-block sides rounds its exponent past 0
         rng = np.random.default_rng(64)
         thetas = {"exp_tilt": (0.05, 1.0), "power_tilt": (0.5, 8.0), "clayton": (0.2, 8.0)}
         worst = 0.0
@@ -107,6 +115,11 @@ class TestDependentSurvival:
             spec = random_spec(rng, int(rng.integers(2, 17)), gen)
             worst = max(worst, np.max(second_order_sf_dependent(
                 spec, np.geomspace(1e-8, 1e-2, 50))))
+        xs = np.geomspace(1e-12, 0.1, 200)
+        for _ in range(100):
+            worst = max(worst, np.max(second_order_sf_independent(
+                random_spec(rng, int(rng.integers(2, 17))).marginals, xs)))
+            worst = max(worst, np.max(multiple_outlier_sf_in_x(random_outlier_spec(rng), xs)))
         assert worst <= 1.0
 
     def test_single_unit_never_fails_twice(self):
@@ -213,6 +226,31 @@ def mp_marginal_sf(m, x, mp):
     return alpha * mp.exp(z) / (alpha - (1 - alpha) * mp.expm1(z))
 
 
+def mp_independent_log_sf(ms, x, mp):
+    """log of prod_i G_i * (1 + sum_i o_i), the independent survival, in
+    mpmath; the failure odds o_i = -expm1(z_i) / (alpha_i e^z_i) keep their
+    digits near x = 0, where each is O(x^b)."""
+    odds = []
+    for m in ms:
+        z = m.lam * -(mp.mpf(m.baseline.a) * x) ** m.baseline.b
+        odds.append(-mp.expm1(z) / (mp.mpf(m.alpha) * mp.exp(z)))
+    return (mp.fsum(mp.log(mp_marginal_sf(m, x, mp)) for m in ms)
+            + mp.log1p(mp.fsum(odds)))
+
+
+def assert_matches_60_digit_hazard(ms, xs, hazard):
+    """``hazard(xs)`` within 1e-13 relative of -d/dx log sf, differentiated
+    in mpmath at 60 digits, and free of numpy warnings."""
+    mp = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        hz = hazard(xs)
+    with mp.workdps(60):
+        for x, h in zip(xs, hz):
+            ref = -mp.diff(lambda t: mp_independent_log_sf(ms, t, mp), mp.mpf(x))
+            assert h == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
 class TestMpmathReference:
     def test_coupled_survival_matches_50_digit_closed_form(self):
         mp = pytest.importorskip("mpmath")
@@ -256,6 +294,23 @@ class TestIndependentSurvival:
         g1, g2 = mphr_sf(m1, xs), mphr_sf(m2, xs)
         np.testing.assert_allclose(second_order_sf_independent((m1, m2), xs),
                                    g1 + g2 - g1 * g2, atol=1e-14)
+
+    def test_unit_whose_log_survival_is_minus_infinity(self):
+        # (x/1)^200 overflows at x = 50, so the first unit's z and baseline
+        # hazard are infinite: it has failed, and the survival and hazard are
+        # those of the other two
+        live = (MphrMarginal(0.5, 1.0, Exponential(0.01)),
+                MphrMarginal(0.8, 2.0, Exponential(0.01)))
+        ms = (MphrMarginal(0.3, 1.0, Weibull(1.0, 200.0)),) + live
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with np.errstate(over="ignore"):
+                sf = second_order_sf_independent(ms, 50.0)
+                hz = second_order_hazard_independent(ms, 50.0)
+        # log G_1 and the log odds meet at about 2000 and cancel to 2000 ulps
+        assert sf == pytest.approx(mphr_sf(live[0], 50.0) * mphr_sf(live[1], 50.0), rel=1e-12)
+        assert hz == pytest.approx(mphr_hazard(live[0], 50.0) + mphr_hazard(live[1], 50.0),
+                                   rel=1e-14)
 
     def test_third_builtin_example_cross_formula(self):
         sc = builtin_example(3)
@@ -387,46 +442,25 @@ class TestIndependentHazard:
         hy = second_order_hazard_independent(sc.side_y.marginals, 1.0)
         assert hx <= hy
 
-    def test_requires_shared_lam_and_baseline(self):
-        ms = (MphrMarginal(0.5, 1.0, EXP), MphrMarginal(0.5, 2.0, EXP))
-        with pytest.raises(ValueError):
-            second_order_hazard_independent(ms, 1.0)
-        with pytest.raises(ValueError):
-            second_order_hazard_independent(
-                (MphrMarginal(0.5, 1.0, EXP), MphrMarginal(0.5, 1.0, Exponential(2.0))),
-                1.0)
-
     def test_rejects_nonpositive_times(self):
         ms = (MphrMarginal(1.0, 1.0, EXP),) * 2
         with pytest.raises(ValueError):
             second_order_hazard_independent(ms, 0.0)
 
     def test_matches_60_digit_derivative_down_to_the_origin(self):
-        # -d/dx log of prod_i G_i * (1 + A expm1(-z)), the independent survival,
-        # differentiated in mpmath; near x = 0 the hazard is O(x^b) while each
-        # marginal hazard is O(1), so a difference form would lose its digits
-        mp = pytest.importorskip("mpmath")
+        # near x = 0 the hazard is O(x^b) while each marginal hazard is O(1),
+        # so a difference form would lose its digits; one lam per unit, and a
+        # second baseline in every other spec
         rng = np.random.default_rng(61)
         xs = np.array([1e-8, 1e-5, 1e-3, 0.1, 1.0, 5.0])
-        with mp.workdps(60):
-            for _ in range(25):
-                base = Weibull(rng.uniform(0.3, 2.0), rng.uniform(0.4, 2.5))
-                lam = rng.uniform(0.05, 3.0)
-                ms = tuple(MphrMarginal(rng.uniform(0.05, 1.0), lam, base)
-                           for _ in range(int(rng.integers(2, 10))))
-                A = mp.fsum(1 / mp.mpf(m.alpha) for m in ms)
-
-                def log_sf(t):
-                    z = lam * -(mp.mpf(base.a) * t) ** base.b
-                    return (mp.fsum(mp.log(mp_marginal_sf(m, t, mp)) for m in ms)
-                            + mp.log1p(A * mp.expm1(-z)))
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    hz = second_order_hazard_independent(ms, xs)
-                for x, h in zip(xs, hz):
-                    ref = -mp.diff(log_sf, mp.mpf(x))
-                    assert h == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+        for k in range(25):
+            bases = [Weibull(rng.uniform(0.3, 2.0), rng.uniform(0.4, 2.5))
+                     for _ in range(1 + k % 2)]
+            ms = tuple(MphrMarginal(rng.uniform(0.05, 1.0), rng.uniform(0.05, 3.0),
+                                    bases[i % len(bases)])
+                       for i in range(int(rng.integers(2, 10))))
+            assert_matches_60_digit_hazard(
+                ms, xs, lambda t: second_order_hazard_independent(ms, t))
 
     def test_zero_where_the_baseline_has_not_moved(self):
         # (a x)^b underflows to 0, so expm1(-z) = 0 and the hazard is exactly 0
@@ -520,9 +554,18 @@ class TestMultipleOutlier:
         assert multiple_outlier_second_order_sf(spec, 500.0) == 0.0
 
     def test_denominator_check_raises(self):
+        # a NaN t fails the time check of the t scale's unit baseline
         spec = MultipleOutlierSpec(0.3, 1.0, 3.0, 2, 3, EXP)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(ValueError):
             multiple_outlier_second_order_hazard(spec, np.nan)
+
+    def test_hazard_matches_60_digit_derivative_down_to_the_origin(self):
+        rng = np.random.default_rng(62)
+        xs = np.array([1e-8, 1e-6, 1e-3, 0.1, 1.0, 6.9])
+        for _ in range(30):
+            spec = random_outlier_spec(rng)
+            assert_matches_60_digit_hazard(
+                outlier_marginals(spec), xs, lambda t: multiple_outlier_hazard_in_x(spec, t))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -553,6 +596,18 @@ def counts_by_subsets(spec, x):
                                for j in range(k, n + 1)) for k in range(n + 1)])
 
 
+def curve_pairs(spec, x):
+    """(survival, hazard) at x from the coupled wrappers and, under
+    independence, the independent ones too, each without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pairs = [(second_order_sf_dependent(spec, x), second_order_hazard_dependent(spec, x))]
+        if spec.generator is INDEP:
+            pairs.append((second_order_sf_independent(spec.marginals, x),
+                          second_order_hazard_independent(spec.marginals, x)))
+    return pairs
+
+
 class TestCoupledCurves:
     @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
     def test_one_pass_equals_separate_survival_and_hazard(self, gen):
@@ -579,12 +634,9 @@ class TestCoupledCurves:
     def test_single_unit_hazard_is_zero_after_underflow(self, gen):
         spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP),), gen)
         xs = np.array([100.0, 800.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            hz = second_order_hazard_dependent(spec, xs)
-            sf = second_order_sf_dependent(spec, xs)
-        np.testing.assert_array_equal(sf, [1.0, 1.0])
-        assert np.all(hz == 0.0) and not np.signbit(hz).any()
+        for sf, hz in curve_pairs(spec, xs):
+            np.testing.assert_array_equal(sf, [1.0, 1.0])
+            assert np.all(hz == 0.0) and not np.signbit(hz).any()
 
     @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
     def test_hazard_after_one_unit_fails(self, gen):
@@ -592,12 +644,9 @@ class TestCoupledCurves:
         # the second one's is e^-8, so the second failure is the second unit's
         spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP), MphrMarginal(1.0, 0.01, EXP)),
                                    gen)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            hz = second_order_hazard_dependent(spec, 800.0)
-            sf = second_order_sf_dependent(spec, 800.0)
-        assert sf > 0.0
-        assert hz == pytest.approx(0.01, rel=1e-12, abs=0.0)
+        for sf, hz in curve_pairs(spec, 800.0):
+            assert sf > 0.0
+            assert hz == pytest.approx(0.01, rel=1e-12, abs=0.0)
 
 
 class TestExceedanceCounts:
