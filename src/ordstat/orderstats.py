@@ -278,9 +278,9 @@ def _independent_curves(marginals: Sequence[MphrMarginal], x, hazard: bool = Fal
     log_prod_g = np.zeros_like(xs)
     for i, (m, z, r) in enumerate(_tilted(kinds, xs, hazard)):
         # below z = -2000 every G_i is 0, even at the largest alpha: the unit
-        # has failed.  The floor keeps its log G_i and log odds finite and
-        # small enough to cancel, so that they neither give NaN at z = -inf
-        # nor swamp the other units' sum
+        # has failed.  The floor keeps its log G_i and log odds finite, so
+        # z = -inf gives no NaN, and their cancellation costs the other
+        # units' log G_i at most about 2000 ulps
         np.maximum(z, -2000.0, out=z)
         em1 = np.expm1(z)
         # log o_i = log(-expm1(z_i)) - z_i - log(alpha_i), -inf where z_i = 0
