@@ -11,8 +11,6 @@ Monte Carlo rows are drawn dashed.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 __all__ = ["render_csv_plot", "render_curve_plot"]
@@ -30,12 +28,16 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def _panel(series: dict[str, tuple[list[float], list[float]]], title: str,
+def _extent(v: np.ndarray) -> tuple[float, float]:
+    # builtin min/max over v: a NaN met first sticks and a later one is
+    # skipped, so nanmin/nanmax run only where v[0] is a number
+    return (v[0], v[0]) if np.isnan(v[0]) else (np.nanmin(v), np.nanmax(v))
+
+
+def _panel(series: dict[str, tuple[np.ndarray, np.ndarray]], title: str,
            y_offset: int) -> list[str]:
-    xs = list(chain.from_iterable(s[0] for s in series.values()))
-    ys = list(chain.from_iterable(s[1] for s in series.values()))
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = _extent(np.concatenate([s[0] for s in series.values()]))
+    y_lo, y_hi = _extent(np.concatenate([s[1] for s in series.values()]))
     pad = 0.05 * (y_hi - y_lo) or 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if x_hi <= x_lo:
@@ -71,13 +73,14 @@ def _panel(series: dict[str, tuple[list[float], list[float]]], title: str,
 
     legend_y = y_offset + _MT + 16
     for name in sorted(series):
-        vx, vy = zip(*sorted(zip(*series[name])))
+        vx, vy = series[name]
+        order = np.lexsort((vy, vx))
         color = _COLORS["X" if "_X" in name else "Y"]
         dash = ' stroke-dasharray="6,4"' if "(" in name else ""
         # on arrays sx/sy repeat their scalar float operations, so the
         # polyline's "%.2f" prints what the ticks' f"{:.2f}" would
-        xy = np.column_stack((sx(np.array(vx)), sy(np.array(vy))))
-        path = " ".join(["%.2f,%.2f"] * len(vx)) % tuple(xy.ravel().tolist())
+        xy = np.column_stack((sx(vx[order]), sy(vy[order])))
+        path = " ".join(["%.2f,%.2f"] * vx.size) % tuple(xy.ravel().tolist())
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
         out.append(f'<line x1="{_W - 170}" y1="{legend_y}" x2="{_W - 140}" '
@@ -94,7 +97,7 @@ def _csv_series(csv_text: str) -> list[tuple]:
     header = lines[0].split(",") if lines else []
     rows = (line.split(",") for line in lines[1:] if line)
     cols = {col[0]: col[1:] for col in zip(header, *rows, strict=True)}
-    x = list(map(float, cols["x"])) if cols else []
+    x = np.array(list(map(float, cols["x"])) if cols else [])
     groups: dict[str, list[int]] = {}
     for i, src in enumerate(cols.get("source") or ["analytic"] * len(x)):
         groups.setdefault(src, []).append(i)
@@ -105,8 +108,8 @@ def _csv_series(csv_text: str) -> list[tuple]:
         for src, rows_of_src in groups.items() if cells else ():
             idx = [i for i in rows_of_src if cells[i]]
             if idx:
-                found.append((idx[0], order, panel, _name(col, src), [x[i] for i in idx],
-                              [float(cells[i]) for i in idx]))
+                found.append((idx[0], order, panel, _name(col, src), x[idx],
+                              np.array([float(cells[i]) for i in idx])))
     return found
 
 
@@ -130,7 +133,7 @@ def _block_series(x: np.ndarray, blocks) -> list[tuple]:
                 rows = rows[np.isfinite(values)]
             if rows.size:
                 found.append((b * x.size + int(rows[0]), order, panel, _name(col, source),
-                              x[rows].tolist(), values[rows].tolist()))
+                              x[rows], values[rows]))
     return found
 
 

@@ -118,6 +118,16 @@ class TestReproduce:
         assert (tmp_path / "flag" / "example1_curves.csv").exists()
         assert not (tmp_path / "envdir").exists()
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # a directory in the plot's place makes the rename fail
+        svg_path = tmp_path / "example1_plot.svg"
+        svg_path.mkdir()
+        assert cli.main(["reproduce", "1", "--out-dir", str(tmp_path),
+                         "--grid-points", "80"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and f"'{svg_path}'" in err
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestCompare:
     def test_equivalent_document_reproduces_bit_for_bit(self, tmp_path):

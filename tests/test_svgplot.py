@@ -135,3 +135,42 @@ def test_row_width_differs_from_header_is_value_error(rows):
     # a missing field would shift or drop the source column
     with pytest.raises(ValueError):
         render_csv_plot(HEADER + rows)
+
+
+def _random_blocks(rng, grid: Grid) -> list:
+    n, m = grid.u.size, grid.positive_x.size
+
+    def survival():
+        if rng.random() < 0.15:
+            return None
+        v = np.sort(rng.uniform(0.0, 1.0, n))[::-1].copy()
+        if rng.random() < 0.4:
+            v[rng.integers(0, n, rng.integers(1, 4))] = np.nan
+        if rng.random() < 0.15:
+            v[0] = np.nan
+        return v
+
+    def hazard():
+        if rng.random() < 0.2:
+            return None
+        size = m - 1 if rng.random() < 0.3 else m
+        v = rng.uniform(0.0, 5.0, size)
+        k = rng.integers(0, 6)
+        v[rng.integers(0, size, k)] = rng.choice([np.inf, -np.inf, np.nan], k)
+        return v
+
+    sources = ("analytic", "mc")[: rng.integers(1, 3)]
+    return [(src, survival(), survival(), hazard(), hazard()) for src in sources]
+
+
+def test_curve_plot_equals_plot_of_written_csv_on_random_blocks():
+    rng = np.random.default_rng(2024)
+    drawn = 0
+    for _ in range(200):
+        grid = Grid.default(points=int(rng.integers(50, 91)), u_min=1e-5)
+        blocks = _random_blocks(rng, grid)
+        if all(c is None for block in blocks for c in block[1:]):
+            continue
+        assert render_curve_plot(grid.x, blocks) == render_csv_plot(cli._csv_text(grid, blocks))
+        drawn += 1
+    assert drawn > 190
