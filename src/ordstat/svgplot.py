@@ -4,7 +4,9 @@
 comma-separated fields, each as wide as the header.  ``render_curve_plot``
 takes the arrays that CSV is printed from and draws the same picture without
 printing and re-parsing them; the CLI draws with it, so rendering the
-written CSV reproduces the written plot byte for byte.  Survival columns and
+written CSV reproduces the written plot byte for byte.  Both entry points
+reduce to the same float arrays, one pair per series, which stay arrays up
+to the one format call of each polyline.  Survival columns and
 hazard columns each get a panel when present; an empty cell is skipped and
 Monte Carlo rows are drawn dashed.
 """

@@ -143,7 +143,7 @@ def _random_blocks(rng, grid: Grid) -> list:
     def survival():
         if rng.random() < 0.15:
             return None
-        v = np.sort(rng.uniform(0.0, 1.0, n))[::-1].copy()
+        v = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
         if rng.random() < 0.4:
             v[rng.integers(0, n, rng.integers(1, 4))] = np.nan
         if rng.random() < 0.15:
