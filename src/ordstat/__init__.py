@@ -44,7 +44,6 @@ from .orderstats import (
     DependentSampleSpec,
     MultipleOutlierSpec,
     SampleSizeLaw,
-    baseline_time_scale,
     exceedance_count_distribution,
     multiple_outlier_hazard_in_x,
     multiple_outlier_second_order_hazard,

@@ -116,14 +116,10 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
     power_tilt          psi(x) = exp(1 - (1+x)^theta), theta > 0
     clayton             psi(x) = (1+x)^(-1/theta), theta > 0
 
-    ``example1`` and ``example2`` are accepted as aliases of exp_tilt and
-    power_tilt for scenario files.  Independence admits any dimension; the
-    others keep the default ``max_dimension`` of 16.
+    Independence admits any dimension; the others keep the default
+    ``max_dimension`` of 16.
     """
-    alias = {"example1": "exp_tilt", "example2": "power_tilt"}
-    canonical = alias.get(name, name)
-
-    if canonical == "independence":
+    if name == "independence":
         if theta is not None:
             raise ValueError("independence generator takes no parameter")
 
@@ -140,11 +136,13 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
         return ArchimedeanGenerator("independence", psi=psi, phi=phi,
                                     psi_prime=psi_prime, max_dimension=10**9)
 
+    if name not in ("exp_tilt", "power_tilt", "clayton"):
+        raise ValueError(f"unknown generator {name!r}")
     if theta is None:
         raise ValueError(f"generator {name!r} needs a theta parameter")
     th = float(theta)
 
-    if canonical == "exp_tilt":
+    if name == "exp_tilt":
         if not 0.0 < th <= 1.0:
             raise ValueError(f"exp_tilt needs 0 < theta <= 1, got {th}")
 
@@ -163,7 +161,7 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.where(x == math.inf, -0.0, -np.exp(x + (1.0 - np.exp(x)) / th) / th)
 
-    elif canonical == "power_tilt":
+    elif name == "power_tilt":
         if not th > 0.0:
             raise ValueError(f"power_tilt needs theta > 0, got {th}")
 
@@ -182,7 +180,7 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
                 return np.where(x == math.inf, -0.0, -th * np.exp(
                     (th - 1.0) * np.log1p(x) + 1.0 - np.power(1.0 + x, th)))
 
-    elif canonical == "clayton":
+    else:  # clayton
         if not th > 0.0:
             raise ValueError(f"clayton needs theta > 0, got {th}")
 
@@ -196,10 +194,7 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
         def psi_prime(x):
             return -np.power(1.0 + np.asarray(x, dtype=float), -1.0 / th - 1.0) / th
 
-    else:
-        raise ValueError(f"unknown generator {name!r}")
-
-    return ArchimedeanGenerator(canonical, {"theta": th}, psi=psi, phi=phi,
+    return ArchimedeanGenerator(name, {"theta": th}, psi=psi, phi=phi,
                                 psi_prime=psi_prime)
 
 

@@ -27,17 +27,13 @@ TOL = 1e-12
 @dataclass(frozen=True)
 class OrderVerdict:
     holds: bool
-    first_violated_index: int | None
     margin: float
 
 
 def _verdict(margins: np.ndarray) -> OrderVerdict:
     # + 0.0 turns the -0.0 of an exactly met total into +0.0
     worst = float(np.min(margins)) + 0.0
-    if worst >= -TOL:
-        return OrderVerdict(True, None, worst)
-    first = int(np.argmax(margins < -TOL)) + 1
-    return OrderVerdict(False, first, worst)
+    return OrderVerdict(worst >= -TOL, worst)
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -95,11 +91,7 @@ def cone_membership(x) -> str:
 def st_order_discrete(law1, law2) -> OrderVerdict:
     """N1 stochastically above N2: P(N1 > m) >= P(N2 > m) for every m."""
     top = max(law1.max_support, law2.max_support)
-    margins = np.array([law1.survival(m) - law2.survival(m) for m in range(top + 1)])
-    worst = float(np.min(margins))
-    if worst >= -TOL:
-        return OrderVerdict(True, None, worst)
-    return OrderVerdict(False, int(np.argmax(margins < -TOL)), worst)
+    return _verdict(np.array([law1.survival(m) - law2.survival(m) for m in range(top + 1)]))
 
 
 def lemma_T_monotone(p: float, grid) -> bool:

@@ -2,7 +2,7 @@
 
 Lifetimes are drawn by inverse transform through the marginal quantile;
 empirical second-order survival curves are compared against the analytic
-product form in binomial standard errors.  Coupled sampling is out of
+closed-form survival in binomial standard errors.  Coupled sampling is out of
 scope; the exact count oracle covers that case.
 """
 

@@ -5,9 +5,9 @@ survives the first component failure and dies with the second.  Closed
 forms are provided for coupled samples (through an Archimedean survival
 copula), independent samples, two-block multiple-outlier samples, and
 random sample sizes, plus an exact subset-enumeration oracle used to
-cross-check all of them.  Coupled and random-size samples share one kernel
-over the phi rows, and independent samples, two-block ones included, one
-over the failure odds; both grow every leave-one-out sum in one walk.
+cross-check all of them.  One router sends coupled and random-size samples
+to a kernel over the phi rows and independent ones, two-block included, to
+one over the failure odds; both grow every leave-one-out sum in one walk.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "multiple_outlier_second_order_hazard",
     "multiple_outlier_sf_in_x",
     "multiple_outlier_hazard_in_x",
-    "baseline_time_scale",
     "outlier_marginals",
     "exceedance_count_distribution",
     "second_order_sf_from_counts",
@@ -308,6 +307,19 @@ def _independent_curves(marginals: Sequence[MphrMarginal], x, hazard: bool = Fal
     return sf, q_other.sum(axis=0) / (1.0 + odds1[cols])
 
 
+def _curves(side: DependentSampleSpec | MultipleOutlierSpec, x,
+            law: SampleSizeLaw | None = None, hazard: bool = False):
+    """The side's survival at every x and, with ``hazard``, its hazard at the
+    x > 0 points (else None), from the one kernel chosen here: the odds
+    kernel for a two-block side or an independence side without a law, the
+    coupled walk for any other."""
+    if isinstance(side, MultipleOutlierSpec):
+        return _independent_curves(outlier_marginals(side), x, hazard)
+    if law is None and side.generator.name == "independence":
+        return _independent_curves(side.marginals, x, hazard)
+    return _coupled_curves(side, x, law, hazard)
+
+
 def second_order_sf_dependent(spec: DependentSampleSpec, x):
     """P(second failure after x) under the coupling copula.
 
@@ -315,7 +327,7 @@ def second_order_sf_dependent(spec: DependentSampleSpec, x):
     marginal survivals at x.  A single-unit sample gives 1: its second
     failure never happens.
     """
-    return _unwrap(_coupled_curves(spec, x)[0], x)
+    return _unwrap(_curves(spec, x)[0], x)
 
 
 def second_order_sf_independent(marginals: Sequence[MphrMarginal], x):
@@ -328,25 +340,20 @@ def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
     if law.max_support > spec.n:
         raise ValueError(
             f"law supported up to {law.max_support} but only {spec.n} marginals given")
-    return _unwrap(_coupled_curves(spec, x, law)[0], x)
+    return _unwrap(_curves(spec, x, law)[0], x)
 
 
 def second_order_hazard_dependent(spec: DependentSampleSpec, x):
     """Hazard of the coupled second-order statistic for x > 0, by analytic
     chain rule; NaN where the survival is 0."""
     _check_hazard_times(x)
-    return _unwrap(_coupled_curves(spec, x, hazard=True)[1], x)
+    return _unwrap(_curves(spec, x, hazard=True)[1], x)
 
 
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
     """Hazard of the independent second-order statistic for x > 0."""
     _check_hazard_times(x)
     return _unwrap(_independent_curves(marginals, x, hazard=True)[1], x)
-
-
-def baseline_time_scale(baseline: Weibull, x):
-    """Cumulative-hazard time t = -log Fbar(x) of the baseline."""
-    return -baseline.log_sf(x)
 
 
 def multiple_outlier_second_order_sf(spec: MultipleOutlierSpec, t):
@@ -360,19 +367,19 @@ def multiple_outlier_second_order_hazard(spec: MultipleOutlierSpec, t):
     t = 0, where no block rate diverges in this scale."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     hz = np.zeros_like(ts)
-    ms = outlier_marginals(replace(spec, baseline=Exponential(1.0)))
-    hz[_positive(ts)] = _independent_curves(ms, ts, hazard=True)[1]
+    hz[_positive(ts)] = _curves(replace(spec, baseline=Exponential(1.0)), ts, hazard=True)[1]
     return _unwrap(hz, t)
 
 
 def multiple_outlier_sf_in_x(spec: MultipleOutlierSpec, x):
     """Survival in the original time scale."""
-    return second_order_sf_independent(outlier_marginals(spec), x)
+    return _unwrap(_curves(spec, x)[0], x)
 
 
 def multiple_outlier_hazard_in_x(spec: MultipleOutlierSpec, x):
     """Hazard in the original time scale, for x > 0."""
-    return second_order_hazard_independent(outlier_marginals(spec), x)
+    _check_hazard_times(x)
+    return _unwrap(_curves(spec, x, hazard=True)[1], x)
 
 
 def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.ndarray:
@@ -440,8 +447,7 @@ def _random_spec(rng: np.random.Generator, n: int) -> DependentSampleSpec:
     return DependentSampleSpec(marginals, gen)
 
 
-def oracle_identity_max_deviation(max_n: int = 6, trials: int = 200,
-                                  seed: int = 0) -> float:
+def oracle_identity_max_deviation(max_n: int, trials: int, seed: int) -> float:
     """Worst |closed form - count oracle| over randomized coupled samples,
     at 20 random grid points each."""
     rng = np.random.default_rng(seed)

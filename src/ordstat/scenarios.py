@@ -2,8 +2,8 @@
 
 A scenario document pins a baseline, an optional coupling generator, two
 sides (marginal vectors or two-block specs), optional sample-size laws, a
-grid, and a theorem tag.  Unknown keys are rejected so that typos never
-silently change a comparison.
+grid, and a theorem tag.  Unknown and repeated keys are rejected so that
+typos never silently change a comparison.
 """
 
 from __future__ import annotations
@@ -167,10 +167,10 @@ def _parse_grid(doc: dict, override: dict | None = None) -> Grid:
     raw = doc.get("grid") or {}
     if not isinstance(raw, dict):
         raise ScenarioError("grid must be an object")
-    _require_keys(raw, {"u_min", "u_max", "points"}, "grid")
-    obj = {"points": _integer(raw.get("points", 1000), "grid.points"),
-           "u_min": _number(raw.get("u_min", 1e-3), "grid.u_min"),
-           "u_max": _number(raw.get("u_max", 1.0), "grid.u_max")}
+    convert = {"points": _integer, "u_min": _number, "u_max": _number}
+    _require_keys(raw, set(convert), "grid")
+    # a key the document leaves out takes Grid.default's value
+    obj = {k: convert[k](v, f"grid.{k}") for k, v in raw.items()}
     # command-line values arrive typed by argparse
     if override:
         obj.update({k: v for k, v in override.items() if v is not None})
@@ -201,13 +201,28 @@ def parse_scenario(doc: dict, grid_override: dict | None = None,
     if not isinstance(output, dict):
         raise ScenarioError("output must be an object")
     _require_keys(output, {"csv", "svg", "report"}, "output")
+    for key, value in output.items():
+        if not (isinstance(value, str) and value):
+            raise ScenarioError(f"output.{key} must be a non-empty string, got {value!r}")
+    name = doc.get("name", name)
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
     try:
         scenario = Scenario(side_x=side_x, side_y=side_y, grid=grid,
-                            law_x=law_x, law_y=law_y, theorem=theorem,
-                            name=str(doc.get("name", name)))
+                            law_x=law_x, law_y=law_y, theorem=theorem, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
     return scenario, dict(output)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object with distinct keys; json.loads keeps the last of two."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_scenario_file(path: str | Path, grid_override: dict | None = None
@@ -219,7 +234,7 @@ def load_scenario_file(path: str | Path, grid_override: dict | None = None
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -27,9 +27,7 @@ from .orderstats import (
     DependentSampleSpec,
     MultipleOutlierSpec,
     SampleSizeLaw,
-    _coupled_curves,
-    _independent_curves,
-    outlier_marginals,
+    _curves,
     second_order_sf_random_n,
 )
 
@@ -151,8 +149,8 @@ def check_hr(hx, hy, fx, fy, grid: Grid) -> DominanceReport:
     i = int(np.argmin(margins))
     hazard_ok = bool(margins[i] >= -_HR_TOL)
 
-    order = np.argsort(xs)
-    fx, fy = fx[order], fy[order]
+    # x descends on a Grid, so the reversed views ascend in x
+    fx, fy = fx[::-1], fy[::-1]
     # the ratio says nothing once a survival leaves normal double range
     # (subnormals quantize the quotient); those points are still covered by
     # the pointwise hazard route
@@ -185,9 +183,9 @@ def check_rh(fx, fy, grid: Grid) -> DominanceReport:
     fx and fy are the cdfs over ``grid.x``.  Grid points where either cdf
     is below 1e-12 are dropped before the ratio is formed.
     """
-    order = np.argsort(grid.x)
-    xs = grid.x[order]
-    fx, fy = _curve(fx, grid.u)[order], _curve(fy, grid.u)[order]
+    # x descends on a Grid, so the reversed views ascend in x
+    xs = grid.x[::-1]
+    fx, fy = _curve(fx, grid.u)[::-1], _curve(fy, grid.u)[::-1]
     keep = (fx >= 1e-12) & (fy >= 1e-12)
     xs, fx, fy = xs[keep], fx[keep], fy[keep]
     if xs.size < 2:
@@ -233,24 +231,14 @@ class Scenario:
         """Read-only (survival over grid.x, hazard over grid.positive_x) of
         the X side, then the Y side; hazards only when neither has a law."""
         hazard = self.law_x is None and self.law_y is None
-        sides = (_side_curves(self.side_x, self.law_x, self.grid, hazard),
-                 _side_curves(self.side_y, self.law_y, self.grid, hazard))
+        # a law side goes through the public entry point, whose calls
+        # perfbench's orderstats.sf layer times
+        sides = tuple(_curves(side, self.grid.x, hazard=hazard) if law is None
+                      else (second_order_sf_random_n(side, law, self.grid.x), None)
+                      for side, law in ((self.side_x, self.law_x), (self.side_y, self.law_y)))
         for curve in (c for side in sides for c in side if c is not None):
             curve.setflags(write=False)
         return sides
-
-
-def _side_curves(side: Side, law: SampleSizeLaw | None, grid: Grid,
-                 hazard: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The side's survival over ``grid.x`` and, with ``hazard``, its hazard
-    over ``grid.positive_x``."""
-    if law is not None:
-        return second_order_sf_random_n(side, law, grid.x), None
-    if isinstance(side, MultipleOutlierSpec):
-        return _independent_curves(outlier_marginals(side), grid.x, hazard)
-    if side.generator.name == "independence":
-        return _independent_curves(side.marginals, grid.x, hazard)
-    return _coupled_curves(side, grid.x, hazard=hazard)
 
 
 def scenario_survival_functions(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -359,33 +347,27 @@ def validate_theorem(sc: Scenario) -> HypothesisReport:
             conds.append(_law_order_condition(sc))
             conds.append(_log_concavity_condition(sc))
 
-        elif tag == "thm2":
-            same_lam = len(set(lams_x) | set(lams_y)) == 1
-            conds.append(ConditionCheck("common_hazard_scalar", same_lam))
-            in_range = bool(np.all((alphas_x > 0) & (alphas_x <= 1.0)
-                                   & (alphas_y > 0) & (alphas_y <= 1.0)))
-            conds.append(ConditionCheck("tilts_in_unit_interval", in_range))
-            ok, which = _common_cone(alphas_x, alphas_y)
-            conds.append(ConditionCheck("tilt_vectors_in_common_cone", ok, which))
-            v = weak_supermajorize_check(1.0 / alphas_x, 1.0 / alphas_y)
-            conds.append(ConditionCheck("reciprocal_weak_supermajorization", v.holds,
-                                        f"worst margin {v.margin:.3e}"))
-            conds.append(_law_order_condition(sc))
-            conds.append(_log_concavity_condition(sc))
-
-        else:  # thm3
-            conds.append(ConditionCheck("independent_sample",
-                                        sc.side_x.generator.name == "independence"))
-            same_lam = len(set(lams_x) | set(lams_y)) == 1
-            conds.append(ConditionCheck("common_hazard_scalar", same_lam))
-            in_range = bool(np.all((alphas_x > 0) & (alphas_x <= 1.0)
-                                   & (alphas_y > 0) & (alphas_y <= 1.0)))
-            conds.append(ConditionCheck("tilts_in_unit_interval", in_range))
-            ok, which = _common_cone(alphas_x, alphas_y)
-            conds.append(ConditionCheck("tilt_vectors_in_common_cone", ok, which))
-            v = majorize_check(1.0 / alphas_x, 1.0 / alphas_y)
-            conds.append(ConditionCheck("reciprocal_majorization", v.holds,
-                                        f"worst margin {v.margin:.3e}"))
+        else:  # thm2 and thm3 share a hazard scalar and tilts in a common cone
+            if tag == "thm3":
+                conds.append(ConditionCheck("independent_sample",
+                                            sc.side_x.generator.name == "independence"))
+            conds.append(ConditionCheck("common_hazard_scalar",
+                                        len(set(lams_x) | set(lams_y)) == 1))
+            alphas = np.concatenate((alphas_x, alphas_y))
+            conds.append(ConditionCheck("tilts_in_unit_interval",
+                                        bool(np.all((alphas > 0) & (alphas <= 1.0)))))
+            conds.append(ConditionCheck("tilt_vectors_in_common_cone",
+                                        *_common_cone(alphas_x, alphas_y)))
+            if tag == "thm2":
+                v = weak_supermajorize_check(1.0 / alphas_x, 1.0 / alphas_y)
+                conds.append(ConditionCheck("reciprocal_weak_supermajorization", v.holds,
+                                            f"worst margin {v.margin:.3e}"))
+                conds.append(_law_order_condition(sc))
+                conds.append(_log_concavity_condition(sc))
+            else:
+                v = majorize_check(1.0 / alphas_x, 1.0 / alphas_y)
+                conds.append(ConditionCheck("reciprocal_majorization", v.holds,
+                                            f"worst margin {v.margin:.3e}"))
 
         return HypothesisReport(tag, tuple(conds))
 

@@ -14,7 +14,6 @@ from ordstat import (
     MphrMarginal,
     SampleSizeLaw,
     Weibull,
-    baseline_time_scale,
     builtin_generator,
     check_hr,
     check_st,
@@ -89,7 +88,7 @@ def test_criterion_4_fourth_example_hazard_dominance_on_t_grid():
     assert validate_theorem(sc).ok
     base = sc.side_x.baseline
     # the t-scale hazard is finite at t = 0, so the whole grid participates
-    ts = baseline_time_scale(base, sc.grid.x)
+    ts = -base.log_sf(sc.grid.x)
     hx = np.asarray(multiple_outlier_second_order_hazard(sc.side_x, ts))
     hy = np.asarray(multiple_outlier_second_order_hazard(sc.side_y, ts))
     margin = float(np.min(hy - hx))

@@ -72,14 +72,14 @@ class TestReproduce:
         assert x0_row and x0_row[0]["hr_X"] == ""
 
     def test_each_curve_evaluated_once(self, tmp_path, monkeypatch):
-        # count through the names stochorder binds
+        # count the kernels behind the router in orderstats
         calls = []
-        for name in ("_independent_curves", "_coupled_curves", "second_order_sf_random_n"):
-            def counted(*args, _fn=getattr(ordstat.stochorder, name), _name=name, **kwargs):
+        for name in ("_independent_curves", "_coupled_curves"):
+            def counted(*args, _fn=getattr(ordstat.orderstats, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(ordstat.stochorder, name, counted)
+            monkeypatch.setattr(ordstat.orderstats, name, counted)
         for example_id in ("3", "4"):
             calls.clear()
             assert cli.main(["reproduce", example_id, "--out-dir", str(tmp_path),
@@ -267,6 +267,29 @@ class TestCompare:
     def test_missing_file_exits_64(self, tmp_path):
         r = run_cli("compare", tmp_path / "nope.json")
         assert r.returncode == 64
+
+    @pytest.mark.parametrize("key,value,where", [
+        ("output", {"csv": 5}, "output.csv"),
+        ("output", {"report": None}, "output.report"),
+        ("output", {"svg": ""}, "output.svg"),
+        ("name", 7, "name"),
+    ], ids=["number", "null", "empty", "number_name"])
+    def test_output_paths_and_name_are_strings(self, tmp_path, capsys, key, value, where):
+        doc = small_grid(example_scenario_document(3))
+        doc[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 64
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_exits_64_and_names_it(self, tmp_path, capsys):
+        # a second theorem tag would otherwise replace the first one silently
+        text = json.dumps(small_grid(example_scenario_document(3)))
+        path = tmp_path / "twice.json"
+        path.write_text(text[:-1] + ', "theorem": "none"}')
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 64
+        assert "duplicate key 'theorem'" in capsys.readouterr().err
 
 
 class TestOracleCheck:

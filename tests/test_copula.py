@@ -58,10 +58,6 @@ class TestBuiltins:
             d = np.asarray(gen.psi_prime(np.array([0.5, math.inf])))
         assert np.isfinite(d[0]) and d[1] == 0.0 and np.signbit(d[1])
 
-    def test_alias_names(self):
-        assert builtin_generator("example1", 0.1).name == "exp_tilt"
-        assert builtin_generator("example2", 7.0).name == "power_tilt"
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             builtin_generator("exp_tilt", 1.5)

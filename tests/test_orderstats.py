@@ -14,7 +14,6 @@ from ordstat import (
     MultipleOutlierSpec,
     SampleSizeLaw,
     Weibull,
-    baseline_time_scale,
     builtin_generator,
     exceedance_count_distribution,
     multiple_outlier_hazard_in_x,
@@ -33,7 +32,7 @@ from ordstat import (
     survival_copula_eval,
 )
 from ordstat.marginals import mphr_hazard
-from ordstat.orderstats import _coupled_curves, _rows
+from ordstat.orderstats import _coupled_curves, _curves, _rows
 from ordstat.scenarios import builtin_example, parse_scenario
 from ordstat.stochorder import Grid
 
@@ -238,6 +237,23 @@ def mp_independent_log_sf(ms, x, mp):
             + mp.log1p(mp.fsum(odds)))
 
 
+def mp_independent_curves(ms, x, mp):
+    """Survival prod_i G_i (1 + O) and hazard sum_i h_i O_{-i} / (1 + O) of
+    independent units in mpmath, with O the sum of the failure odds, O_{-i}
+    that sum without unit i and h_i = lam_i r(x) / denom_i the marginal
+    hazards."""
+    odds, hz = [], []
+    for m in ms:
+        a, b, alpha = mp.mpf(m.baseline.a), mp.mpf(m.baseline.b), mp.mpf(m.alpha)
+        z = m.lam * -(a * x) ** b
+        odds.append(-mp.expm1(z) / (alpha * mp.exp(z)))
+        hz.append(m.lam * a * b * (a * x) ** (b - 1) / (alpha - (1 - alpha) * mp.expm1(z)))
+    total = mp.fsum(odds)
+    sf = mp.fprod(mp_marginal_sf(m, x, mp) for m in ms) * (1 + total)
+    return sf, mp.fsum(h * mp.fsum(odds[:i] + odds[i + 1:])
+                       for i, h in enumerate(hz)) / (1 + total)
+
+
 def assert_matches_60_digit_hazard(ms, xs, hazard):
     """``hazard(xs)`` within 1e-13 relative of -d/dx log sf, differentiated
     in mpmath at 60 digits, and free of numpy warnings."""
@@ -383,8 +399,8 @@ class TestRandomSampleSize:
         # the far grid reaches coordinates whose phi is infinite
         grids = (Grid.default(), Grid(np.geomspace(1e-300, 1.0, 300)))
         for grid in grids:
-            per_size = [second_order_sf_dependent(
-                            DependentSampleSpec(spec.marginals[:m], gen), grid.x)
+            per_size = [_coupled_curves(DependentSampleSpec(spec.marginals[:m], gen),
+                                        grid.x)[0]
                         for m in range(1, n + 1)]
             for law in laws:
                 phi_calls.clear()
@@ -493,6 +509,25 @@ class TestDependentHazard:
         np.testing.assert_allclose(second_order_hazard_dependent(spec, xs),
                                    second_order_hazard_independent(ms, xs), rtol=1e-10)
 
+    def test_independent_sample_matches_80_digit_closed_form(self):
+        # an independence side takes the odds kernel through the dependent
+        # entry points too; near the origin the coupled walk's hazard would
+        # cancel away its digits
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(65)
+        xs = np.array([1e-8, 1e-6, 1e-3, 0.1, 1.0])
+        with mp.workdps(80):
+            for _ in range(30):
+                spec = random_spec(rng, int(rng.integers(2, 17)), INDEP)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    sf = second_order_sf_dependent(spec, xs)
+                    hz = second_order_hazard_dependent(spec, xs)
+                for x, s, h in zip(xs, sf, hz):
+                    ref_sf, ref_hz = mp_independent_curves(spec.marginals, mp.mpf(x), mp)
+                    assert s == pytest.approx(float(ref_sf), rel=0.0, abs=1e-14)
+                    assert h == pytest.approx(float(ref_hz), rel=1e-13, abs=0.0)
+
 
 class TestMultipleOutlier:
     def test_homogeneous_blocks_collapse_to_iid(self):
@@ -544,7 +579,7 @@ class TestMultipleOutlier:
     def test_time_scale_round_trip(self):
         base = Weibull(1.5, 0.2)
         xs = np.geomspace(0.01, 6.0, 20)
-        np.testing.assert_allclose(baseline_time_scale(base, xs), (1.5 * xs) ** 0.2,
+        np.testing.assert_allclose(-base.log_sf(xs), (1.5 * xs) ** 0.2,
                                    rtol=1e-14)
 
     def test_extreme_time_stays_finite(self):
@@ -620,7 +655,7 @@ class TestCoupledCurves:
                 if n == 1:
                     warnings.simplefilter("error", RuntimeWarning)
                 for grid in grids:
-                    sf, hz = _coupled_curves(spec, grid.x, hazard=True)
+                    sf, hz = _curves(spec, grid.x, hazard=True)
                     assert np.array_equal(sf, second_order_sf_dependent(spec, grid.x),
                                           equal_nan=True)
                     assert np.array_equal(
