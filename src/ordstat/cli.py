@@ -151,12 +151,21 @@ def _resolve_out_dir(flag_value: str | None) -> Path:
     return Path(env) if env else Path("ordstat-out")
 
 
+def _output_paths(out_dir: Path, stem: str, output: dict) -> list[Path]:
+    """The CSV, SVG and report paths in ``out_dir``, named by ``output`` or
+    else from ``stem``; two that coincide are rejected, naming their keys."""
+    names = {"csv": f"{stem}_curves.csv", "svg": f"{stem}_plot.svg",
+             "report": f"{stem}_report.txt", **output}
+    for name in names.values():
+        same = [f"output.{k}" for k, other in names.items() if other == name]
+        if len(same) > 1:
+            raise ScenarioError(f"{' and '.join(same)} name the same file {name!r}")
+    return [out_dir / name for name in names.values()]
+
+
 def _run_comparison(scenario: Scenario, out_dir: Path, output: dict | None = None) -> int:
-    output = output or {}
-    stem = scenario.name or "scenario"
-    csv_path = out_dir / output.get("csv", f"{stem}_curves.csv")
-    svg_path = out_dir / output.get("svg", f"{stem}_plot.svg")
-    report_path = out_dir / output.get("report", f"{stem}_report.txt")
+    csv_path, svg_path, report_path = _output_paths(
+        out_dir, scenario.name or "scenario", output or {})
 
     hyp = validate_theorem(scenario)
     checks = _run_checks(scenario)
@@ -214,25 +223,23 @@ def _cmd_simulate(args) -> int:
         print("simulate needs an independent x_side without a sample-size law",
               file=sys.stderr)
         return 2
+    csv_path, svg_path, report_path = _output_paths(
+        _resolve_out_dir(args.out_dir), (scenario.name or "scenario") + "_mc", output)
     config = SimConfig(replications=args.replications, seed=args.seed,
                        marginals=side.marginals, grid=scenario.grid)
     report = mc_vs_analytic_report(config)
 
-    out_dir = _resolve_out_dir(args.out_dir)
-    stem = (scenario.name or "scenario") + "_mc"
     blocks = [("analytic", report.analytic, None, None, None),
               ("mc", report.empirical, None, None, None)]
-    _write_atomic(out_dir / output.get("csv", f"{stem}_curves.csv"),
-                  _csv_text(scenario.grid, blocks))
-    _write_atomic(out_dir / output.get("svg", f"{stem}_plot.svg"),
-                  render_curve_plot(scenario.grid.x, blocks))
+    _write_atomic(csv_path, _csv_text(scenario.grid, blocks))
+    _write_atomic(svg_path, render_curve_plot(scenario.grid.x, blocks))
     verdict = "PASS" if report.passed else "FAIL"
     text = (f"scenario: {scenario.name}\n"
             f"replications: {report.replications}  seed: {report.seed}  "
             f"rng: {report.algorithm}\n"
             f"max standardized deviation: {report.max_std_dev:.4f} "
             f"(threshold 4.0)\nverdict: {verdict}\n")
-    _write_atomic(out_dir / output.get("report", f"{stem}_report.txt"), text)
+    _write_atomic(report_path, text)
     sys.stdout.write(text)
     return 0 if report.passed else 3
 

@@ -86,6 +86,10 @@ class ArchimedeanGenerator:
 
     ``max_dimension`` is the dimension up to which the owner claims the
     copula conditions hold; joint evaluations beyond it are refused.
+
+    The kernel's pieces (see ``builtin_generator``) are here differences of
+    log psi and log |psi'|, inf or NaN where those underflow; they read the
+    attributes at call time, so a wrapper set on them sees every call.
     """
 
     def __init__(self, name, params=None, *, psi, phi=None, psi_prime=None,
@@ -99,6 +103,18 @@ class ArchimedeanGenerator:
         if self.max_dimension < 1:
             raise ValueError("max_dimension must be a positive integer")
 
+    def _rho(self, s):
+        return np.asarray(self.phi(np.exp(-s)), dtype=float)
+
+    def _log_lam(self, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(-np.asarray(self.psi_prime(t), dtype=float)) - np.log(self.psi(t))
+
+    def _D_gap(self, E, P):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return tuple(np.log(np.abs(f(E))) - np.log(np.abs(f(E + P)))
+                         for f in (self.psi, self.psi_prime))
+
     def key(self):
         """Identity tuple used when two specs must share a generator."""
         return (self.name, tuple(sorted(self.params.items())))
@@ -106,6 +122,11 @@ class ArchimedeanGenerator:
     def __repr__(self):
         pars = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"ArchimedeanGenerator({self.name}{', ' + pars if pars else ''})"
+
+
+# 1/k! for k = 13 down to 2: below x = 1/4 the Taylor series of
+# expm1(x) - x = x^2 sum_k x^(k-2)/k! is exact to a unit roundoff there
+_EXPM1_SERIES = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
 
 
 def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGenerator:
@@ -117,85 +138,113 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
     clayton             psi(x) = (1+x)^(-1/theta), theta > 0
 
     Independence admits any dimension; the others keep the default
-    ``max_dimension`` of 16.
+    ``max_dimension`` of 16.  Each is log psi and the kernel's pieces, free of
+    cancellation: rho(s) = phi(e^-s), log lam with lam = -psi'/psi, and for
+    E, P >= 0, D = log psi(E) - log psi(E+P) and gap = log |psi'(E)| -
+    log |psi'(E+P)|, both >= 0 and inf at P = inf.
     """
+    if name not in ("independence", "exp_tilt", "power_tilt", "clayton"):
+        raise ValueError(f"unknown generator {name!r}")
     if name == "independence":
         if theta is not None:
             raise ValueError("independence generator takes no parameter")
+        params, max_dimension = {}, 10**9
 
-        def psi(x):
-            return np.exp(-np.asarray(x, dtype=float))
+        def log_psi(x):
+            return -x
 
-        def phi(u):
-            with np.errstate(divide="ignore"):
-                return -np.log(np.asarray(u, dtype=float))
+        def rho(s):
+            return np.asarray(s, dtype=float)
 
-        def psi_prime(x):
-            return -np.exp(-np.asarray(x, dtype=float))
+        def log_lam(t):
+            return np.zeros_like(t)
 
-        return ArchimedeanGenerator("independence", psi=psi, phi=phi,
-                                    psi_prime=psi_prime, max_dimension=10**9)
+        def D_gap(E, P):
+            return P, P
 
-    if name not in ("exp_tilt", "power_tilt", "clayton"):
-        raise ValueError(f"unknown generator {name!r}")
-    if theta is None:
-        raise ValueError(f"generator {name!r} needs a theta parameter")
-    th = float(theta)
+    else:
+        if theta is None:
+            raise ValueError(f"generator {name!r} needs a theta parameter")
+        th = float(theta)
+        # written so that NaN fails
+        if not (0.0 < th <= 1.0 if name == "exp_tilt" else th > 0.0):
+            bound = "0 < theta <= 1" if name == "exp_tilt" else "theta > 0"
+            raise ValueError(f"{name} needs {bound}, got {th}")
+        params, max_dimension, log_th = {"theta": th}, 16, math.log(th)
 
     if name == "exp_tilt":
-        if not 0.0 < th <= 1.0:
-            raise ValueError(f"exp_tilt needs 0 < theta <= 1, got {th}")
+        def log_psi(x):
+            return -np.expm1(x) / th
 
-        def psi(x):
-            with np.errstate(over="ignore"):
-                return np.exp((1.0 - np.exp(np.asarray(x, dtype=float))) / th)
+        def rho(s):
+            return np.log1p(th * s)
 
-        def phi(u):
-            with np.errstate(divide="ignore"):
-                return np.log1p(-th * np.log(np.asarray(u, dtype=float)))
+        def log_lam(t):
+            return t - log_th
 
-        def psi_prime(x):
-            # single exponent avoids 0 * inf at large x; at x = inf it is
-            # inf - inf, so the limit -0 is set there
-            x = np.asarray(x, dtype=float)
+        def D_gap(E, P):
+            em1 = np.expm1(P)
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.where(x == math.inf, -0.0, -np.exp(x + (1.0 - np.exp(x)) / th) / th)
+                D = np.exp(E - log_th) * em1
+                gap = np.where(P == math.inf, math.inf, D - P)
+            # D - P cancels where D < 2P; there, as theta <= 1, it is the sum
+            # of expm1(E - log theta) expm1(P) >= 0 and expm1(P) - P
+            near = D < 2.0 * P
+            E, P, em1 = E[near], P[near], em1[near]
+            gap[near] = np.expm1(E - log_th) * em1 + np.where(
+                P < 0.25, P * P * np.polyval(_EXPM1_SERIES, P), em1 - P)
+            return D, gap
 
     elif name == "power_tilt":
-        if not th > 0.0:
-            raise ValueError(f"power_tilt needs theta > 0, got {th}")
+        def log_psi(x):
+            return 1.0 - np.power(1.0 + x, th)
 
-        def psi(x):
-            with np.errstate(over="ignore"):
-                return np.exp(1.0 - np.power(1.0 + np.asarray(x, dtype=float), th))
+        def rho(s):
+            return np.expm1(np.log1p(s) / th)
 
-        def phi(u):
-            with np.errstate(divide="ignore"):
-                return np.power(1.0 - np.log(np.asarray(u, dtype=float)), 1.0 / th) - 1.0
+        def log_lam(t):
+            return (th - 1.0) * np.log1p(t) + log_th
 
-        def psi_prime(x):
-            # the exponent is inf - inf at x = inf, where the limit is -0
-            x = np.asarray(x, dtype=float)
+        def D_gap(E, P):
+            ell = np.log1p(P / (1.0 + E))
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.where(x == math.inf, -0.0, -th * np.exp(
-                    (th - 1.0) * np.log1p(x) + 1.0 - np.power(1.0 + x, th)))
+                D = np.exp(th * np.log1p(E)) * np.expm1(th * ell)
+                # D >= theta ell, so the gap keeps at least 1/theta of D
+                return D, np.where(P == math.inf, math.inf, D - (th - 1.0) * ell)
 
-    else:  # clayton
-        if not th > 0.0:
-            raise ValueError(f"clayton needs theta > 0, got {th}")
+    elif name == "clayton":
+        def log_psi(x):
+            return -np.log1p(x) / th
 
-        def psi(x):
-            return np.power(1.0 + np.asarray(x, dtype=float), -1.0 / th)
+        def rho(s):
+            with np.errstate(over="ignore"):
+                return np.expm1(th * s)
 
-        def phi(u):
-            with np.errstate(over="ignore", divide="ignore"):
-                return np.power(np.asarray(u, dtype=float), -th) - 1.0
+        def log_lam(t):
+            return -np.log1p(t) - log_th
 
-        def psi_prime(x):
-            return -np.power(1.0 + np.asarray(x, dtype=float), -1.0 / th - 1.0) / th
+        def D_gap(E, P):
+            D = np.log1p(P / (1.0 + E)) / th
+            return D, (1.0 + th) * D
 
-    return ArchimedeanGenerator(name, {"theta": th}, psi=psi, phi=phi,
-                                psi_prime=psi_prime)
+    def psi(x):
+        with np.errstate(over="ignore"):
+            return np.exp(log_psi(np.asarray(x, dtype=float)))
+
+    def psi_prime(x):
+        # at x = inf the exponent may be inf - inf; the limit is -0
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(x == math.inf, -0.0, -np.exp(log_psi(x) + log_lam(x)))
+
+    def phi(u):
+        with np.errstate(divide="ignore"):
+            return rho(-np.log(np.asarray(u, dtype=float)))
+
+    g = ArchimedeanGenerator(name, params, psi=psi, phi=phi, psi_prime=psi_prime,
+                             max_dimension=max_dimension)
+    g._rho, g._log_lam, g._D_gap = rho, log_lam, D_gap
+    return g
 
 
 def check_log_concavity(g: ArchimedeanGenerator):

@@ -5,9 +5,10 @@ survives the first component failure and dies with the second.  Closed
 forms are provided for coupled samples (through an Archimedean survival
 copula), independent samples, two-block multiple-outlier samples, and
 random sample sizes, plus an exact subset-enumeration oracle used to
-cross-check all of them.  One router sends coupled and random-size samples
-to a kernel over the phi rows and independent ones, two-block included, to
-one over the failure odds; both grow every leave-one-out sum in one walk.
+cross-check all of them.  One kernel serves every side, coupled or
+independent, two-block included: a sum of nonnegative terms over the phi
+rows, with every leave-one-out sum grown in one walk.  A random sample
+size mixes the closed forms of the first m units along that walk.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .copula import PHI_CLAMP_U, ArchimedeanGenerator, builtin_generator
-from .marginals import Exponential, MphrMarginal, Weibull, _tilt_denominator
+from .marginals import Exponential, MphrMarginal, Weibull, mphr_sf
 
 __all__ = [
     "DependentSampleSpec",
@@ -40,6 +41,10 @@ __all__ = [
     "second_order_sf_from_counts",
     "oracle_identity_max_deviation",
 ]
+
+_INDEPENDENCE = builtin_generator("independence")
+# grid points per kernel pass, so that each (units, points) temporary stays small
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -131,36 +136,34 @@ def outlier_marginals(spec: MultipleOutlierSpec) -> tuple[MphrMarginal, ...]:
     return (out,) * spec.p + (main,) * spec.q
 
 
-def _tilted(marginals: Sequence[MphrMarginal], xs: np.ndarray, hazard: bool):
-    """Yield ``(m, z, r)`` per marginal: z = lam log Fbar and, with ``hazard``,
-    the baseline hazard r (else None), from one ``log_sf`` (and ``hazard``)
-    per distinct baseline."""
-    per_base: dict[Weibull, tuple] = {}
-    for m in marginals:
-        if m.baseline not in per_base:
-            per_base[m.baseline] = (m.baseline.log_sf(xs),
-                                    m.baseline.hazard(xs) if hazard else None)
-        log_sf, r = per_base[m.baseline]
-        yield m, m.lam * log_sf, r
+def _marginal_terms(marginals: Sequence[MphrMarginal], xs: np.ndarray, hazard: bool = False):
+    """Rows S = -log G of the marginal survivals at ``xs`` and, with
+    ``hazard``, the marginal hazards (else None), from one ``log_sf`` (and
+    ``hazard``) per distinct baseline.
 
-
-def _rows(marginals: Sequence[MphrMarginal], x, hazard: bool = False):
-    """Marginal survivals G, shape (n, npoints), and with ``hazard`` also the
-    marginal hazards H.
-
-    Row by row the operations of ``mphr_sf`` and ``mphr_hazard``.  Rows, not
-    one (n, npoints) broadcast: a block that large is a fresh allocation per
-    temporary, which made the hazard rows 2-3x slower at n = 16.
+    With z = lam log Fbar, S = log1p((alpha-1)/alpha expm1(z)) - z: a
+    survival that underflows keeps a finite S, and z = -inf gives inf.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    G = np.empty((len(marginals), xs.size))
-    H = np.empty_like(G) if hazard else None
-    for i, (m, z, r) in enumerate(_tilted(marginals, xs, hazard)):
-        denom = _tilt_denominator(m.alpha, z)
-        G[i] = m.alpha * np.exp(z) / denom
-        if hazard:
-            H[i] = m.lam * r / denom
-    return (G, H) if hazard else G
+    per_base = {b: (b.log_sf(xs), b.hazard(xs) if hazard else xs)
+                for b in dict.fromkeys(m.baseline for m in marginals)}
+    # one baseline broadcasts its row; several are stacked per marginal
+    log_sf, r = (per_base.popitem()[1] if len(per_base) == 1 else
+                 map(np.array, zip(*(per_base[m.baseline] for m in marginals))))
+    alpha = np.array([[m.alpha] for m in marginals])
+    lam = np.array([[m.lam] for m in marginals])
+    z = lam * log_sf
+    em1 = np.expm1(z)
+    S = em1 * ((alpha - 1.0) / alpha)
+    np.log1p(S, out=S)
+    S -= z
+    if not hazard:
+        return S, None
+    # alpha + (alpha - 1) expm1(z) = 1 - (1 - alpha) Fbar^lam
+    em1 *= alpha - 1.0
+    em1 += alpha
+    H = lam * r
+    H /= em1
+    return S, H
 
 
 def _unwrap(value: np.ndarray, x):
@@ -197,127 +200,123 @@ def _leave_one_out(rows: np.ndarray):
         yield excl[:m + 1], total
 
 
-def _second_order_sf(rows: np.ndarray, psi, law: SampleSizeLaw):
-    """Mixture over m ~ law of sum_i psi(excl_i) - (m-1) psi(total), with excl
-    and total the leave-one-out and full sums of the first m rows.
+def _others(rows: np.ndarray, count: np.ndarray):
+    """For each row, standing for ``count`` units, the sum of the rows of
+    the other units; a sum past the double range is inf."""
+    shared = np.flatnonzero(count > 1.0)
+    with np.errstate(over="ignore"):
+        *_, (excl, _) = _leave_one_out(count * rows if shared.size else rows)
+        for i in shared:
+            excl[i] += (count[i, 0] - 1.0) * rows[i]
+    return excl
 
-    Returns the mixture and the walk's final ``(excl, total)``.  psi runs
-    only at sizes the law gives mass to.  The mixture is clamped to at most
-    1 (NaN passes): the (m-1)-fold cancellation overshoots by up to about
-    1.6e-14 near the origin, and a law mixture's sum of p_m * 1 by one ulp
-    at x = 0.  The nonnegative-term form of ROADMAP item 1 removes the cause.
+
+def _law_sf(marginals, g: ArchimedeanGenerator, law: SampleSizeLaw, xs: np.ndarray):
+    """Mixture over m ~ law of sum_i psi(E_i) - (m-1) psi(T), E_i and T the
+    leave-one-out and full sums of the first m phi rows, with psi run once
+    per size the law gives mass to.  Clamped to at most 1 (NaN passes): the
+    (m-1)-fold cancellation overshoots by up to about 1.6e-14 near the
+    origin, and the sum of p_m * 1 by one ulp at x = 0."""
+    mix = np.zeros_like(xs)
+    rows = _leave_one_out(g._rho(_marginal_terms(marginals, xs)[0]))
+    # a sum past the double range is inf, and psi of it 0
+    with np.errstate(over="ignore"):
+        for (m, p), (excl, total) in zip(law.pmf, rows):
+            if p > 0.0:
+                sf = np.asarray(g.psi(excl), dtype=float).sum(axis=0)
+                sf -= (m - 1) * np.asarray(g.psi(total), dtype=float)
+                mix += p * sf
+    return np.minimum(mix, 1.0, out=mix)
+
+
+def _plain_curves(kinds: Counter, g: ArchimedeanGenerator, xs: np.ndarray, hazard: bool):
+    """Survival at every x and, with ``hazard``, hazard at the x > 0 points
+    (else None) of the units ``kinds`` counts, coupled by ``g``.
+
+    With c_i the counts, P_j the phi rows, E_i and T the sums of the other
+    units' rows and of all, D_i and gap_i the log psi and log |psi'| steps
+    from E_i to T, lam = -psi'/psi and W_j = dP_j/dx = h_j / lam(P_j):
+    sf = psi(T) B, B = 1 + sum_i c_i expm1(D_i), and the hazard is
+    sum_i c_i W_{-i} lam(E_i) e^D_i (1 - e^-gap_i) / B, all terms >= 0.  B is
+    scaled by e^-D_k, D_k = max D_i, and psi(T) e^D_k taken as psi(E_k), so
+    neither overflows nor underflows early.  A unit with E_i = inf adds 0.
     """
-    mix = np.zeros_like(rows[0])
-    for (m, p), (excl, total) in zip(law.pmf, _leave_one_out(rows)):
-        if p > 0.0:
-            sf = -(m - 1) * np.asarray(psi(total), dtype=float)
-            for e in excl:
-                sf += np.asarray(psi(e), dtype=float)
-            mix += p * sf
-    np.minimum(mix, 1.0, out=mix)
-    return mix, excl, total
-
-
-def _coupled_curves(spec: DependentSampleSpec, x, law: SampleSizeLaw | None = None,
-                    hazard: bool = False):
-    """Coupled survival at every x and, with ``hazard``, the hazard at the
-    x > 0 points (else None), from one walk over the phi rows.
-
-    A plain side is the point mass at n.  The hazard, of a plain side only,
-    differentiates the closed form through psi' and phi' = 1/psi'(phi), so it
-    needs no finite differences; it is NaN where the survival is 0.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    law = law or SampleSizeLaw([0.0] * (spec.n - 1) + [1.0])
-    g = spec.generator
-    rows = _rows(spec.marginals[:law.max_support], xs, hazard=hazard)
-    G, H = rows if hazard else (rows, None)
-    PH = np.asarray(g.phi(G), dtype=float)
-    sf, excl, total = _second_order_sf(PH, g.psi, law)
-    if not hazard:
-        return sf, None
-    cols = _positive(xs)
-    if spec.n == 1:
-        # one unit never fails twice: its hazard is exactly +0
-        return sf, np.zeros_like(sf[cols])
-    G, H, PH, excl, total, denom = (G[:, cols], H[:, cols], PH[:, cols], excl[:, cols],
-                                    total[cols], sf[cols])
-    # d/dx phi(G_j) = G_j' / psi'(phi(G_j)) with G_j' = -G_j * hazard_j; a unit
-    # with phi(G_j) = inf has failed and adds no slope
-    W = np.divide(-G * H, np.asarray(g.psi_prime(PH), dtype=float),
-                  out=np.zeros_like(PH), where=np.isfinite(PH))
-    *_, (w_excl, wsum) = _leave_one_out(W)
-    sf_prime = -(spec.n - 1) * np.asarray(g.psi_prime(total), dtype=float) * wsum
-    for e, w in zip(excl, w_excl):
-        sf_prime += np.asarray(g.psi_prime(e), dtype=float) * w
-    # != 0, not > 0: a negative survival from a non-copula psi keeps its quotient
-    hz = np.divide(-sf_prime, denom, out=np.full_like(denom, np.nan), where=denom != 0.0)
-    return sf, hz
-
-
-def _independent_curves(marginals: Sequence[MphrMarginal], x, hazard: bool = False):
-    """Independent survival at every x and, with ``hazard``, the hazard at the
-    x > 0 points (else None), from the failure odds o_i = F_i / G_i.
-
-    sf = prod_i G_i * (1 + O) and hazard = sum_i h_i O_{-i} / (1 + O), with O
-    the sum of the odds, O_{-i} that sum without unit i and h_i the marginal
-    hazards.  Every term is nonnegative, so nothing cancels near the origin.
-    The odds are scaled by e^-top, top the largest log odds but at least 0,
-    so none overflows; identical units share one row, weighted by their
-    count.  The log-survival is clamped at 0, so the survival is at most 1.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    cols = _positive(xs)
-    if len(marginals) == 1:
-        # one unit never fails twice: survival exactly 1, hazard exactly +0
-        return np.ones_like(xs), np.zeros_like(xs[cols]) if hazard else None
-    kinds = Counter(marginals)
-    L = np.empty((len(kinds), xs.size))
-    H = np.empty_like(L[:, cols]) if hazard else None
-    log_prod_g = np.zeros_like(xs)
-    for i, (m, z, r) in enumerate(_tilted(kinds, xs, hazard)):
-        # below z = -2000 every G_i is 0, even at the largest alpha: the unit
-        # has failed.  The floor keeps its log G_i and log odds finite, so
-        # z = -inf gives no NaN, and their cancellation costs the other
-        # units' log G_i at most about 2000 ulps
-        np.maximum(z, -2000.0, out=z)
-        em1 = np.expm1(z)
-        # log o_i = log(-expm1(z_i)) - z_i - log(alpha_i), -inf where z_i = 0
-        with np.errstate(divide="ignore"):
-            L[i] = np.log(-em1) - z - math.log(m.alpha)
-        # log G_i = log(alpha_i) + z_i - log(denom_i), without the cancellation
-        log_prod_g += kinds[m] * (z - np.log1p((m.alpha - 1.0) / m.alpha * em1))
-        if hazard:
-            # count times the marginal hazard lam_i r / denom_i
-            H[i] = kinds[m] * m.lam * r[cols] / (m.alpha - (1.0 - m.alpha) * em1[cols])
-    top = np.maximum(L.max(axis=0), 0.0)
-    q = np.exp(np.subtract(L, top, out=L), out=L)
     count = np.array(list(kinds.values()), dtype=float)[:, None]
-    *_, (q_excl, Q) = _leave_one_out(count * q)
-    # e^-top (1 + O) - 1, exact where top = 0
-    odds1 = np.expm1(-top) + Q
-    sf = np.exp(np.minimum(log_prod_g + top + np.log1p(odds1), 0.0))
+    S, H = _marginal_terms(kinds, xs, hazard)
+    P = g._rho(S)
+    if count.sum() == 1.0:
+        # one unit never fails twice: survival exactly 1, hazard exactly +0
+        return np.ones_like(xs), np.zeros_like(xs[_positive(xs)]) if hazard else None
+    E = _others(P, count)
+    dead = ~np.isfinite(E)
+    if dead.any():
+        # finite stand-ins on the rows that add nothing
+        E[dead] = 0.0
+        D, gap = g._D_gap(E, np.where(dead, 0.0, P))
+        D = np.where(dead, -np.inf, D)
+    else:
+        D, gap = g._D_gap(E, P)
+    top = D.max(axis=0)
+    top[top == -np.inf] = np.inf  # every E_i infinite: no term survives
+    E_top = np.zeros_like(xs)
+    for d, e in zip(D, E):
+        np.copyto(E_top, e, where=d == top)
+    infinite = np.isinf(top)
+    Dt = D - np.where(infinite, 0.0, top)
+    # top = inf: unit k with D_k = inf has failed and alone holds the survival
+    Dt[:, infinite] = np.where(D[:, infinite] == np.inf, 0.0, -np.inf)
+    # e^-top B = sum_i c_i e^(D_i - top) - (n - 1) e^-top, in [1, n]
+    terms = np.expm1(Dt)
+    terms *= count
+    bracket = terms.sum(axis=0) + (count.sum() * -np.expm1(-top) + np.exp(-top))
+    # psi(E_k) <= 1 times the bracket >= 1 rounds above 1 by a few ulps near
+    # the origin
+    sf = np.minimum(np.asarray(g.psi(E_top), dtype=float) * bracket, 1.0)
     if not hazard:
         return sf, None
-    # O_{-i} of a unit of kind k: the other kinds plus count_k - 1 of its own
-    q_other = q_excl[:, cols]
-    q_other += (count - 1.0) * q[:, cols]
-    # where every other unit has failed, a diverging h_i adds nothing
-    np.multiply(q_other, H, out=q_other, where=q_other > 0.0)
-    return sf, q_other.sum(axis=0) / (1.0 + odds1[cols])
+    # W_j and lam(E_i) are scaled by e^-L and e^L, L the least log lam(P_j)
+    # of the units not failed, so neither overflows as phi(G_j) nears the
+    # double range; x = 0, where a baseline hazard can diverge, is dropped
+    failed = np.isinf(P)
+    L = g._log_lam(P)
+    with np.errstate(invalid="ignore", over="ignore"):
+        L_min = (np.where(failed, np.inf, L) if failed.any() else L).min(axis=0)
+        W = np.subtract(L_min, L)
+        np.exp(W, out=W)
+        W *= H
+        # a unit with phi(G_j) = inf has failed and adds no slope
+        W[failed] = 0.0
+        # -c_i W_{-i} lam(E_i) e^(D_i - top) (1 - e^-gap_i) / (e^-top B), NaN
+        # where every E_i is infinite, as B is 0 there
+        terms = g._log_lam(E) - L_min
+        terms += Dt
+        np.exp(terms, out=terms)
+        terms *= _others(W, count)
+        gap = np.negative(gap)
+        terms *= np.expm1(gap, out=gap)
+        terms *= count
+        terms /= bracket
+    return sf, -terms.sum(axis=0)[_positive(xs)]
 
 
 def _curves(side: DependentSampleSpec | MultipleOutlierSpec, x,
             law: SampleSizeLaw | None = None, hazard: bool = False):
-    """The side's survival at every x and, with ``hazard``, its hazard at the
-    x > 0 points (else None), from the one kernel chosen here: the odds
-    kernel for a two-block side or an independence side without a law, the
-    coupled walk for any other."""
+    """The side's survival at every x and, with ``hazard`` and no law, its
+    hazard at the x > 0 points (else None), in blocks of ``_BLOCK`` points.
+    A two-block side is its marginals under independence, and a law with
+    all its mass at m is the plain side of the first m units."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(side, MultipleOutlierSpec):
-        return _independent_curves(outlier_marginals(side), x, hazard)
-    if law is None and side.generator.name == "independence":
-        return _independent_curves(side.marginals, x, hazard)
-    return _coupled_curves(side, x, law, hazard)
+        marginals, g = outlier_marginals(side), _INDEPENDENCE
+    else:
+        marginals, g = side.marginals, side.generator
+    blocks = [xs[i:i + _BLOCK] for i in range(0, max(xs.size, 1), _BLOCK)]
+    sizes = [(m, p) for m, p in law.pmf if p > 0.0] if law else [(len(marginals), 1.0)]
+    if len(sizes) > 1:
+        return np.concatenate([_law_sf(marginals[:sizes[-1][0]], g, law, b) for b in blocks]), None
+    (m, p), = sizes
+    sf, hz = zip(*(_plain_curves(Counter(marginals[:m]), g, b, hazard) for b in blocks))
+    return p * np.concatenate(sf), np.concatenate(hz) if hazard else None
 
 
 def second_order_sf_dependent(spec: DependentSampleSpec, x):
@@ -332,7 +331,7 @@ def second_order_sf_dependent(spec: DependentSampleSpec, x):
 
 def second_order_sf_independent(marginals: Sequence[MphrMarginal], x):
     """Survival of the second-order statistic of independent units."""
-    return _unwrap(_independent_curves(marginals, x)[0], x)
+    return _unwrap(_curves(DependentSampleSpec(marginals, _INDEPENDENCE), x)[0], x)
 
 
 def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
@@ -345,7 +344,8 @@ def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
 
 def second_order_hazard_dependent(spec: DependentSampleSpec, x):
     """Hazard of the coupled second-order statistic for x > 0, by analytic
-    chain rule; NaN where the survival is 0."""
+    chain rule; finite where the survival underflows, NaN where every
+    leave-one-out phi sum is infinite."""
     _check_hazard_times(x)
     return _unwrap(_curves(spec, x, hazard=True)[1], x)
 
@@ -353,7 +353,7 @@ def second_order_hazard_dependent(spec: DependentSampleSpec, x):
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
     """Hazard of the independent second-order statistic for x > 0."""
     _check_hazard_times(x)
-    return _unwrap(_independent_curves(marginals, x, hazard=True)[1], x)
+    return _unwrap(_curves(DependentSampleSpec(marginals, _INDEPENDENCE), x, hazard=True)[1], x)
 
 
 def multiple_outlier_second_order_sf(spec: MultipleOutlierSpec, t):
@@ -400,7 +400,7 @@ def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.nda
     if x < 0.0:
         raise ValueError("time must be nonnegative")
     g = spec.generator
-    G = _rows(spec.marginals, x)[:, 0]
+    G = np.array([float(mphr_sf(m, x)) for m in spec.marginals])
     if not np.all((G >= 0.0) & (G <= 1.0 + 1e-12)):
         raise ValueError("copula coordinates must lie in [0, 1]")
     G = np.minimum(G, 1.0)

@@ -204,6 +204,9 @@ def parse_scenario(doc: dict, grid_override: dict | None = None,
     for key, value in output.items():
         if not (isinstance(value, str) and value):
             raise ScenarioError(f"output.{key} must be a non-empty string, got {value!r}")
+        # a directory part, "." or ".." would leave or replace --out-dir
+        if Path(value).name != value or value == "..":
+            raise ScenarioError(f"output.{key} must be a bare file name, got {value!r}")
     name = doc.get("name", name)
     if not isinstance(name, str):
         raise ScenarioError(f"name must be a string, got {name!r}")
@@ -239,6 +242,8 @@ def load_scenario_file(path: str | Path, grid_override: dict | None = None
         raise ScenarioError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ScenarioError(f"invalid JSON in {path}: nested too deeply") from None
     return parse_scenario(doc, grid_override, name=path.stem)
 
 

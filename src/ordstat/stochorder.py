@@ -135,8 +135,8 @@ def check_hr(hx, hy, fx, fy, grid: Grid) -> DominanceReport:
 
     Hazards hx, hy lie over ``grid.positive_x``, survivals fx, fy over
     ``grid.x``.  Route one: hx <= hy at the points where both survivals are
-    positive; past the underflow of a survival its hazard is 0/0, and
-    ``skipped`` counts those points.  Route two: fx / fy non-decreasing in x.
+    positive; past the underflow of a survival the comparison says nothing,
+    and ``skipped`` counts those points.  Route two: fx / fy non-decreasing in x.
     The verdict requires both; a split decision clears routes_agree.
     """
     xs = grid.positive_x

@@ -72,21 +72,21 @@ class TestReproduce:
         assert x0_row and x0_row[0]["hr_X"] == ""
 
     def test_each_curve_evaluated_once(self, tmp_path, monkeypatch):
-        # count the kernels behind the router in orderstats
+        # count the router calls that stochorder makes
         calls = []
-        for name in ("_independent_curves", "_coupled_curves"):
-            def counted(*args, _fn=getattr(ordstat.orderstats, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(ordstat.orderstats, name, counted)
+        def counted(*args, _fn=ordstat.stochorder._curves, **kwargs):
+            calls.append(kwargs.get("hazard", False))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ordstat.stochorder, "_curves", counted)
         for example_id in ("3", "4"):
             calls.clear()
             assert cli.main(["reproduce", example_id, "--out-dir", str(tmp_path),
                              "--grid-points", "150"]) == 0
             # one pass per side gives its survival and hazard, shared by the st
             # check and both hr routes
-            assert calls == ["_independent_curves"] * 2
+            assert calls == [True, True]
 
     def test_reports_print_zeros_without_a_sign(self, tmp_path):
         # the st witness at the origin is x = -log(1), and an exactly met
@@ -167,17 +167,17 @@ class TestCompare:
     def test_coupled_sides_evaluate_their_rows_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(*args, _fn=ordstat.orderstats._rows, **kwargs):
-            calls.append(kwargs.get("hazard", False))
-            return _fn(*args, **kwargs)
+        def counted(marginals, xs, hazard=False, _fn=ordstat.orderstats._marginal_terms):
+            calls.append(hazard)
+            return _fn(marginals, xs, hazard)
 
-        monkeypatch.setattr(ordstat.orderstats, "_rows", counted)
+        monkeypatch.setattr(ordstat.orderstats, "_marginal_terms", counted)
         path = tmp_path / "coupled.json"
         doc = small_grid(example_scenario_document(1))
         del doc["n1_pmf"], doc["n2_pmf"]  # with laws, no hazards are computed
         path.write_text(json.dumps(doc))
         assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 0
-        # one fused survival-and-hazard pass per side
+        # one fused survival-and-hazard pass over each side's rows
         assert calls == [True, True]
 
     def test_hypothesis_failure_exit_code(self, tmp_path):
@@ -281,6 +281,44 @@ class TestCompare:
         path.write_text(json.dumps(doc))
         assert cli.main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 64
         assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output,where", [
+        ({"csv": "same.txt", "svg": "same.txt"}, "output.csv and output.svg"),
+        ({"report": "example3_curves.csv"}, "output.csv and output.report"),
+        ({"csv": "../escaped.csv"}, "output.csv"),
+        ({"report": "ABSOLUTE"}, "output.report"),
+    ], ids=["same_file", "default_name", "parent_dir", "absolute"])
+    def test_output_entries_name_distinct_files_in_out_dir(self, tmp_path, capsys,
+                                                            output, where):
+        # before, each of these exited 0: the SVG replaced the CSV, or a file
+        # landed outside --out-dir
+        doc = small_grid(example_scenario_document(3))
+        doc["output"] = {k: str(tmp_path / "abs.txt") if v == "ABSOLUTE" else v
+                         for k, v in output.items()}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out" / "inner"
+        assert cli.main(["compare", str(path), "--out-dir", str(out_dir)]) == 64
+        assert where in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    def test_simulate_outputs_name_distinct_files(self, tmp_path, capsys):
+        doc = small_grid(example_scenario_document(3))
+        doc["output"] = {"svg": "same.txt", "report": "same.txt"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path), "--replications", "1000",
+                         "--out-dir", str(tmp_path / "out")]) == 64
+        assert "output.svg and output.report" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_json_exits_64(self, tmp_path, capsys):
+        # json.loads raises RecursionError here, which used to escape as a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == 64
+        assert "nested too deeply" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_key_exits_64_and_names_it(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ from ordstat import (
     survival_copula_eval,
 )
 from ordstat.marginals import mphr_hazard
-from ordstat.orderstats import _coupled_curves, _curves, _rows
+from ordstat.orderstats import _curves
 from ordstat.scenarios import builtin_example, parse_scenario
 from ordstat.stochorder import Grid
 
@@ -72,22 +72,6 @@ ORACLE_GENERATORS = [INDEP, builtin_generator("exp_tilt", 0.3),
                      custom_clayton(2.0)]
 
 
-class TestMarginalRows:
-    @pytest.mark.parametrize("bases", [(Weibull(0.7, 1.8),), (EXP,),
-                                       (Weibull(2.0, 0.5), EXP, Exponential(20.0))],
-                             ids=["weibull", "exponential", "mixed"])
-    def test_equal_per_marginal_calls(self, bases):
-        rng = np.random.default_rng(3)
-        ms = [MphrMarginal(rng.uniform(0.01, 20.0), rng.uniform(0.05, 20.0),
-                           bases[i % len(bases)]) for i in range(9)]
-        xs = -np.log(np.linspace(1e-300, 1.0, 999)[:-1])
-        for x in (xs, float(xs[400])):
-            G, H = _rows(ms, x, hazard=True)
-            assert np.array_equal(G, [np.atleast_1d(mphr_sf(m, x)) for m in ms])
-            assert np.array_equal(H, [np.atleast_1d(mphr_hazard(m, x)) for m in ms])
-            assert np.array_equal(_rows(ms, x), G)
-
-
 class TestDependentSurvival:
     def test_two_iid_exponentials(self):
         spec = iid_exp_spec(2)
@@ -102,8 +86,7 @@ class TestDependentSurvival:
             assert second_order_sf_dependent(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_at_most_one_near_origin(self):
-        # sum_i psi(E_i) - (n-1) psi(T) cancels (n-1)-fold there; the odds form
-        # of independent and two-block sides rounds its exponent past 0
+        # psi(E_k) <= 1 times a bracket >= 1 rounds past 1 by a few ulps there
         rng = np.random.default_rng(64)
         thetas = {"exp_tilt": (0.05, 1.0), "power_tilt": (0.5, 8.0), "clayton": (0.2, 8.0)}
         worst = 0.0
@@ -225,6 +208,15 @@ def mp_marginal_sf(m, x, mp):
     return alpha * mp.exp(z) / (alpha - (1 - alpha) * mp.expm1(z))
 
 
+def mp_coupled_sf(spec, x, mp):
+    """sum_i psi(E_i) - (n-1) psi(T) of a builtin generator in mpmath, each
+    leave-one-out sum formed directly, not as a total minus one term."""
+    psi, phi = mp_generator(spec.generator, mp)
+    ph = [phi(mp_marginal_sf(m, x, mp)) for m in spec.marginals]
+    return (mp.fsum(psi(mp.fsum(ph[:i] + ph[i + 1:])) for i in range(spec.n))
+            - (spec.n - 1) * psi(mp.fsum(ph)))
+
+
 def mp_independent_log_sf(ms, x, mp):
     """log of prod_i G_i * (1 + sum_i o_i), the independent survival, in
     mpmath; the failure odds o_i = -expm1(z_i) / (alpha_i e^z_i) keep their
@@ -281,14 +273,9 @@ class TestMpmathReference:
                 spec = random_spec(rng, int(rng.integers(2, 17)), gen)
                 # body points: every phi(G) at most 1e3
                 xs = rng.choice(Grid.default().x, 8)
-                xs = xs[np.all(gen.phi(_rows(spec.marginals, xs)) <= 1e3, axis=0)]
-                psi, phi = mp_generator(gen, mp)
+                xs = xs[np.all(gen.phi([mphr_sf(m, xs) for m in spec.marginals]) <= 1e3, axis=0)]
                 for x, sf in zip(xs, second_order_sf_dependent(spec, xs)):
-                    ph = [phi(mp_marginal_sf(m, x, mp)) for m in spec.marginals]
-                    # each leave-one-out sum formed directly, not as total - term
-                    ref = (mp.fsum(psi(mp.fsum(ph[:i] + ph[i + 1:])) for i in range(spec.n))
-                           - (spec.n - 1) * psi(mp.fsum(ph)))
-                    worst = max(worst, abs(sf - float(ref)))
+                    worst = max(worst, abs(sf - float(mp_coupled_sf(spec, x, mp))))
         assert worst <= 1e-14
 
 
@@ -323,10 +310,27 @@ class TestIndependentSurvival:
             with np.errstate(over="ignore"):
                 sf = second_order_sf_independent(ms, 50.0)
                 hz = second_order_hazard_independent(ms, 50.0)
-        # log G_1 and the log odds meet at about 2000 and cancel to 2000 ulps
         assert sf == pytest.approx(mphr_sf(live[0], 50.0) * mphr_sf(live[1], 50.0), rel=1e-12)
         assert hz == pytest.approx(mphr_hazard(live[0], 50.0) + mphr_hazard(live[1], 50.0),
                                    rel=1e-14)
+
+    @pytest.mark.parametrize("ratio", [1e3, 1e5, 1e10, 1e20])
+    def test_unit_far_past_failure(self, ratio):
+        # one unit's lam is ratio times the others': its -log G, far above
+        # -log sf, must not cancel against the other terms of the survival
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(67)
+        xs = np.geomspace(0.01, 10.0, 12)
+        with mp.workdps(60):
+            for _ in range(4):
+                base = Weibull(rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5))
+                live = [MphrMarginal(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0), base)
+                        for _ in range(3)]
+                far = MphrMarginal(rng.uniform(0.05, 1.0), ratio * max(m.lam for m in live), base)
+                ms = (live[0], far, *live[1:])
+                for x, s in zip(xs, second_order_sf_independent(ms, xs)):
+                    ref = mp.exp(mp_independent_log_sf(ms, mp.mpf(x), mp))
+                    assert s == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_third_builtin_example_cross_formula(self):
         sc = builtin_example(3)
@@ -377,17 +381,15 @@ class TestRandomSampleSize:
 
     @pytest.mark.parametrize("gen", ORACLE_GENERATORS, ids=lambda g: g.name)
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
-    def test_one_pass_equals_per_size_closed_forms(self, gen, n):
+    def test_one_pass_equals_per_size_closed_forms(self, gen, n, monkeypatch):
         rng = np.random.default_rng(43 + n)
         spec = random_spec(rng, n, gen)
-        phi_calls = []
+        rho_calls = []
 
-        def phi(u):
-            phi_calls.append(1)
-            return gen.phi(u)
+        def rho(s, _rho=gen._rho):
+            rho_calls.append(1)
+            return _rho(s)
 
-        counted = DependentSampleSpec(spec.marginals, ArchimedeanGenerator(
-            gen.name, psi=gen.psi, phi=phi, psi_prime=gen.psi_prime))
         # zero mass at the first size, at a middle size and at the last one;
         # a one-unit law keeps its whole mass at 1; last, a point mass at n
         laws = []
@@ -398,14 +400,14 @@ class TestRandomSampleSize:
         laws.append(SampleSizeLaw([0.0] * (n - 1) + [1.0]))
         # the far grid reaches coordinates whose phi is infinite
         grids = (Grid.default(), Grid(np.geomspace(1e-300, 1.0, 300)))
+        monkeypatch.setattr(gen, "_rho", rho)
         for grid in grids:
-            per_size = [_coupled_curves(DependentSampleSpec(spec.marginals[:m], gen),
-                                        grid.x)[0]
+            per_size = [_curves(DependentSampleSpec(spec.marginals[:m], gen), grid.x)[0]
                         for m in range(1, n + 1)]
             for law in laws:
-                phi_calls.clear()
-                sf = second_order_sf_random_n(counted, law, grid.x)
-                assert len(phi_calls) == 1
+                rho_calls.clear()
+                sf = second_order_sf_random_n(spec, law, grid.x)
+                assert len(rho_calls) == 1
                 expected = sum(p * per_size[m - 1] for m, p in law.pmf if p > 0.0)
                 np.testing.assert_allclose(sf, expected, rtol=0.0, atol=4e-15)
                 assert np.all((sf >= 0.0) & (sf <= 1.0))
@@ -510,9 +512,8 @@ class TestDependentHazard:
                                    second_order_hazard_independent(ms, xs), rtol=1e-10)
 
     def test_independent_sample_matches_80_digit_closed_form(self):
-        # an independence side takes the odds kernel through the dependent
-        # entry points too; near the origin the coupled walk's hazard would
-        # cancel away its digits
+        # the dependent entry points on an independent sample; near the
+        # origin a difference of psi' terms would cancel away its digits
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(65)
         xs = np.array([1e-8, 1e-6, 1e-3, 0.1, 1.0])
@@ -527,6 +528,60 @@ class TestDependentHazard:
                     ref_sf, ref_hz = mp_independent_curves(spec.marginals, mp.mpf(x), mp)
                     assert s == pytest.approx(float(ref_sf), rel=0.0, abs=1e-14)
                     assert h == pytest.approx(float(ref_hz), rel=1e-13, abs=0.0)
+
+
+    def test_coupled_hazard_matches_80_digit_closed_form(self):
+        # near the origin the hazard is O(x^b) while W_j and lam are O(1); the
+        # nonnegative form keeps its digits where psi' differences cancelled
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(66)
+        xs = np.array([1e-8, 1e-6, 1e-3, 0.1, 1.0])
+        gens = [INDEP, builtin_generator("clayton", 2.0), builtin_generator("clayton", 8.0),
+                builtin_generator("exp_tilt", 0.3), builtin_generator("exp_tilt", 1.0),
+                builtin_generator("power_tilt", 3.0)]
+        with mp.workdps(80):
+            for gen in gens:
+                for n in (2, 3, 5, 8, 12, 16):
+                    spec = random_spec(rng, n, gen)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        hz = second_order_hazard_dependent(spec, xs)
+                    for x, h in zip(xs, hz):
+                        ref = -mp.diff(lambda t: mp.log(mp_coupled_sf(spec, t, mp)), mp.mpf(x))
+                        assert h == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    def test_clayton_tail_where_the_full_phi_sum_overflows(self):
+        # each phi(G) is about 6.7e307 at x = 88.6: the sum of all three is
+        # inf, so psi(T) is 0, but every leave-one-out sum is finite
+        mp = pytest.importorskip("mpmath")
+        spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP),) * 3,
+                                   builtin_generator("clayton", 8.0))
+        xs = np.array([88.5, 88.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sf, hz = _curves(spec, xs, hazard=True)
+        with mp.workdps(80):
+            for x, s, h in zip(xs, sf, hz):
+                ref = mp_coupled_sf(spec, mp.mpf(x), mp)
+                assert s == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+                # the hazard of the second failure among three unit exponentials
+                # tends to 1
+                ref_hz = -mp.diff(lambda t: mp.log(mp_coupled_sf(spec, t, mp)), mp.mpf(x))
+                assert h == pytest.approx(float(ref_hz), rel=1e-12, abs=0.0)
+        assert sf[1] == pytest.approx(3.3482259e-39, rel=1e-7)
+
+    @pytest.mark.parametrize("theta,live", [(2.0, 3214), (8.0, 2009)])
+    def test_clayton_hazard_finite_wherever_survival_is_positive(self, theta, live):
+        # far in the tail of the first example's marginals phi(G_j) nears the
+        # double range: W_j = h_j / lam(P_j) overflowed there, and with it the
+        # hazard, while the survival was positive
+        spec = DependentSampleSpec(builtin_example(1).side_x.marginals,
+                                   builtin_generator("clayton", theta))
+        with np.errstate(over="ignore"):
+            sf, hz = _curves(spec, np.geomspace(1e2, 1e6, 4000), hazard=True)
+        pos = sf > 0.0
+        assert np.count_nonzero(pos) == live
+        assert np.all(np.isfinite(hz[pos]) & (hz[pos] >= 0.0))
 
 
 class TestMultipleOutlier:
