@@ -169,14 +169,11 @@ def _run_comparison(scenario: Scenario, out_dir: Path, output: dict | None = Non
 
     hyp = validate_theorem(scenario)
     checks = _run_checks(scenario)
-    primary = PRIMARY_CHECK[scenario.theorem]
-    if primary not in checks:  # tagged hr but hazards unavailable
-        primary = "st"
 
     exit_code = 0
     if scenario.theorem != "none" and not hyp.ok:
         exit_code = 2
-    elif not checks[primary].holds:
+    elif not checks[PRIMARY_CHECK[scenario.theorem]].holds:
         exit_code = 3
 
     sf = checks["st"].curves
@@ -235,7 +232,7 @@ def _cmd_simulate(args) -> int:
     _write_atomic(svg_path, render_curve_plot(scenario.grid.x, blocks))
     verdict = "PASS" if report.passed else "FAIL"
     text = (f"scenario: {scenario.name}\n"
-            f"replications: {report.replications}  seed: {report.seed}  "
+            f"replications: {config.replications}  seed: {config.seed}  "
             f"rng: {report.algorithm}\n"
             f"max standardized deviation: {report.max_std_dev:.4f} "
             f"(threshold 4.0)\nverdict: {verdict}\n")

@@ -92,16 +92,14 @@ class ArchimedeanGenerator:
     attributes at call time, so a wrapper set on them sees every call.
     """
 
-    def __init__(self, name, params=None, *, psi, phi=None, psi_prime=None,
-                 max_dimension=16):
+    max_dimension = 16
+
+    def __init__(self, name, params=None, *, psi, phi=None, psi_prime=None):
         self.name = str(name)
         self.params = dict(params or {})
         self.psi = psi
         self.phi = phi if phi is not None else _numeric_inverse(psi)
         self.psi_prime = psi_prime if psi_prime is not None else _numeric_derivative(psi)
-        self.max_dimension = int(max_dimension)
-        if self.max_dimension < 1:
-            raise ValueError("max_dimension must be a positive integer")
 
     def _rho(self, s):
         return np.asarray(self.phi(np.exp(-s)), dtype=float)
@@ -137,7 +135,7 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
     power_tilt          psi(x) = exp(1 - (1+x)^theta), theta > 0
     clayton             psi(x) = (1+x)^(-1/theta), theta > 0
 
-    Independence admits any dimension; the others keep the default
+    Independence admits any dimension; the others keep the class's
     ``max_dimension`` of 16.  Each is log psi and the kernel's pieces, free of
     cancellation: rho(s) = phi(e^-s), log lam with lam = -psi'/psi, and for
     E, P >= 0, D = log psi(E) - log psi(E+P) and gap = log |psi'(E)| -
@@ -148,7 +146,7 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
     if name == "independence":
         if theta is not None:
             raise ValueError("independence generator takes no parameter")
-        params, max_dimension = {}, 10**9
+        params = {}
 
         def log_psi(x):
             return -x
@@ -170,7 +168,7 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
         if not (0.0 < th <= 1.0 if name == "exp_tilt" else th > 0.0):
             bound = "0 < theta <= 1" if name == "exp_tilt" else "theta > 0"
             raise ValueError(f"{name} needs {bound}, got {th}")
-        params, max_dimension, log_th = {"theta": th}, 16, math.log(th)
+        params, log_th = {"theta": th}, math.log(th)
 
     if name == "exp_tilt":
         def log_psi(x):
@@ -241,9 +239,10 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
         with np.errstate(divide="ignore"):
             return rho(-np.log(np.asarray(u, dtype=float)))
 
-    g = ArchimedeanGenerator(name, params, psi=psi, phi=phi, psi_prime=psi_prime,
-                             max_dimension=max_dimension)
+    g = ArchimedeanGenerator(name, params, psi=psi, phi=phi, psi_prime=psi_prime)
     g._rho, g._log_lam, g._D_gap = rho, log_lam, D_gap
+    if name == "independence":
+        g.max_dimension = 10**9
     return g
 
 

@@ -104,31 +104,51 @@ class MphrMarginal:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
 
-def _tilt_denominator(alpha: float, z):
-    """1 - (1-alpha) exp(z) written as alpha - (1-alpha) expm1(z).
+def _tilt_divisor(alpha, z):
+    """d = 1 - (1-alpha) e^z at z = lam log Fbar <= 0 as two nonnegative
+    terms, for any alpha > 0: alpha at z = 0 and 1 at z = -inf."""
+    return alpha * np.exp(z) - np.expm1(z)
 
-    The rewrite keeps full precision when the denominator is near alpha
-    (z near 0) and makes the origin values exact.
+
+def _tilt(alpha, z, divisor: bool):
+    """-log G, G = alpha e^z / d the tilted survival, and, with ``divisor``
+    (else None), d, from one expm1 and one log1p per element.
+
+    With q = expm1(-z) / alpha >= 0, -log G = log1p(q) and
+    d = (alpha + alpha q) / (1 + alpha q): no term cancels for any alpha > 0.
+    Where q overflows, -log G = log d - log alpha - z, inf at z = -inf.
     """
-    return alpha - (1.0 - alpha) * np.expm1(z)
+    aq = np.negative(z)  # alpha q, made in place
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.expm1(aq, out=aq)
+        S = aq / alpha
+        d = np.divide(aq + alpha, np.add(aq, 1.0, out=aq), out=aq) if divisor else None
+        np.log1p(S, out=S)
+    over = np.isinf(S)
+    if over.any():
+        d_over = _tilt_divisor(alpha, z)
+        S = np.where(over, np.log(d_over) - np.log(alpha) - z, S)
+        if divisor:
+            d = np.where(over, d_over, d)
+    return S, d
 
 
 def mphr_cdf(m: MphrMarginal, x):
     """(1 - Fbar^lam) / (1 - (1-alpha) * Fbar^lam)."""
     z = m.lam * m.baseline.log_sf(x)
-    return -np.expm1(z) / _tilt_denominator(m.alpha, z)
+    return -np.expm1(z) / _tilt_divisor(m.alpha, z)
 
 
 def mphr_sf(m: MphrMarginal, x):
-    """alpha * Fbar^lam / (1 - (1-alpha) * Fbar^lam)."""
+    """alpha * Fbar^lam / (1 - (1-alpha) * Fbar^lam), at most 1."""
     z = m.lam * m.baseline.log_sf(x)
-    return m.alpha * np.exp(z) / _tilt_denominator(m.alpha, z)
+    return m.alpha * np.exp(z) / _tilt_divisor(m.alpha, z)
 
 
 def mphr_hazard(m: MphrMarginal, x):
     """lam * r(x) / (1 - (1-alpha) * Fbar^lam), r the baseline hazard."""
     z = m.lam * m.baseline.log_sf(x)
-    return m.lam * m.baseline.hazard(x) / _tilt_denominator(m.alpha, z)
+    return m.lam * m.baseline.hazard(x) / _tilt_divisor(m.alpha, z)
 
 
 def mphr_quantile(m: MphrMarginal, u):
@@ -152,7 +172,7 @@ def distortion_h(u, alpha: float, lam: float):
     u = _as_prob(u, name="survival value")
     with np.errstate(divide="ignore"):
         z = lam * np.log(u)
-    return -np.expm1(z) / _tilt_denominator(alpha, z)
+    return -np.expm1(z) / _tilt_divisor(alpha, z)
 
 
 def tilt_cdf(x, alpha: float, baseline: Weibull):
@@ -160,7 +180,7 @@ def tilt_cdf(x, alpha: float, baseline: Weibull):
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     ls = baseline.log_sf(x)
-    return -np.expm1(ls) / _tilt_denominator(alpha, ls)
+    return -np.expm1(ls) / _tilt_divisor(alpha, ls)
 
 
 def dual_tilt_cdf(x, alpha: float, baseline: Weibull):

@@ -89,9 +89,6 @@ class McReport:
     passed: bool
     empirical: np.ndarray
     analytic: np.ndarray
-    grid: Grid
-    seed: int
-    replications: int
     algorithm: str = RNG_ALGORITHM
 
 
@@ -117,7 +114,4 @@ def mc_vs_analytic_report(config: SimConfig) -> McReport:
         passed=worst < 4.0,
         empirical=emp,
         analytic=ana,
-        grid=config.grid,
-        seed=config.seed,
-        replications=config.replications,
     )

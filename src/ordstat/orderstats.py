@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .copula import PHI_CLAMP_U, ArchimedeanGenerator, builtin_generator
-from .marginals import Exponential, MphrMarginal, Weibull, mphr_sf
+from .marginals import Exponential, MphrMarginal, Weibull, _tilt, mphr_sf
 
 __all__ = [
     "DependentSampleSpec",
@@ -141,8 +141,8 @@ def _marginal_terms(marginals: Sequence[MphrMarginal], xs: np.ndarray, hazard: b
     ``hazard``, the marginal hazards (else None), from one ``log_sf`` (and
     ``hazard``) per distinct baseline.
 
-    With z = lam log Fbar, S = log1p((alpha-1)/alpha expm1(z)) - z: a
-    survival that underflows keeps a finite S, and z = -inf gives inf.
+    A survival that underflows keeps a finite S, and z = lam log Fbar = -inf
+    gives inf.
     """
     per_base = {b: (b.log_sf(xs), b.hazard(xs) if hazard else xs)
                 for b in dict.fromkeys(m.baseline for m in marginals)}
@@ -151,31 +151,14 @@ def _marginal_terms(marginals: Sequence[MphrMarginal], xs: np.ndarray, hazard: b
                  map(np.array, zip(*(per_base[m.baseline] for m in marginals))))
     alpha = np.array([[m.alpha] for m in marginals])
     lam = np.array([[m.lam] for m in marginals])
-    z = lam * log_sf
-    em1 = np.expm1(z)
-    S = em1 * ((alpha - 1.0) / alpha)
-    np.log1p(S, out=S)
-    S -= z
-    if not hazard:
-        return S, None
-    # alpha + (alpha - 1) expm1(z) = 1 - (1 - alpha) Fbar^lam
-    em1 *= alpha - 1.0
-    em1 += alpha
-    H = lam * r
-    H /= em1
-    return S, H
+    S, d = _tilt(alpha, lam * log_sf, hazard)
+    if hazard:
+        np.divide(lam * r, d, out=d)
+    return S, d
 
 
 def _unwrap(value: np.ndarray, x):
     return float(value[0]) if np.ndim(x) == 0 else value
-
-
-def _positive(xs: np.ndarray):
-    """Index of the x > 0 points, where hazards are evaluated."""
-    pos = xs > 0.0
-    k = int(np.count_nonzero(pos))
-    # on a Grid u ascends, so the x > 0 points lead and a slice takes them
-    return slice(k) if pos[:k].all() else pos
 
 
 def _check_hazard_times(x):
@@ -214,17 +197,28 @@ def _others(rows: np.ndarray, count: np.ndarray):
 def _law_sf(marginals, g: ArchimedeanGenerator, law: SampleSizeLaw, xs: np.ndarray):
     """Mixture over m ~ law of sum_i psi(E_i) - (m-1) psi(T), E_i and T the
     leave-one-out and full sums of the first m phi rows, with psi run once
-    per size the law gives mass to.  Clamped to at most 1 (NaN passes): the
+    per size the law gives mass to.  Where T passes the double range while
+    the rows do not, psi(T) = psi(E_k) e^-D_k, k the unit with the largest
+    row, as in ``_plain_curves``.  Clamped to at most 1 (NaN passes): the
     (m-1)-fold cancellation overshoots by up to about 1.6e-14 near the
     origin, and the sum of p_m * 1 by one ulp at x = 0."""
     mix = np.zeros_like(xs)
-    rows = _leave_one_out(g._rho(_marginal_terms(marginals, xs)[0]))
+    P = g._rho(_marginal_terms(marginals, xs)[0])
     # a sum past the double range is inf, and psi of it 0
     with np.errstate(over="ignore"):
-        for (m, p), (excl, total) in zip(law.pmf, rows):
+        for (m, p), (excl, total) in zip(law.pmf, _leave_one_out(P)):
             if p > 0.0:
                 sf = np.asarray(g.psi(excl), dtype=float).sum(axis=0)
-                sf -= (m - 1) * np.asarray(g.psi(total), dtype=float)
+                psi_T = np.asarray(g.psi(total), dtype=float)
+                if total.max() == math.inf:
+                    cols = np.flatnonzero(np.isinf(total))
+                    k = P[:m, cols].argmax(axis=0)
+                    E, P_k = excl[k, cols], P[k, cols]
+                    # psi(T) <= psi(E_k), 0 where E_k is inf
+                    live = np.isfinite(E)
+                    psi_T[cols[live]] = (np.asarray(g.psi(E[live]), dtype=float)
+                                         * np.exp(-g._D_gap(E[live], P_k[live])[0]))
+                sf -= (m - 1) * psi_T
                 mix += p * sf
     return np.minimum(mix, 1.0, out=mix)
 
@@ -246,7 +240,7 @@ def _plain_curves(kinds: Counter, g: ArchimedeanGenerator, xs: np.ndarray, hazar
     P = g._rho(S)
     if count.sum() == 1.0:
         # one unit never fails twice: survival exactly 1, hazard exactly +0
-        return np.ones_like(xs), np.zeros_like(xs[_positive(xs)]) if hazard else None
+        return np.ones_like(xs), np.zeros_like(xs[xs > 0.0]) if hazard else None
     E = _others(P, count)
     dead = ~np.isfinite(E)
     if dead.any():
@@ -296,7 +290,7 @@ def _plain_curves(kinds: Counter, g: ArchimedeanGenerator, xs: np.ndarray, hazar
         terms *= np.expm1(gap, out=gap)
         terms *= count
         terms /= bracket
-    return sf, -terms.sum(axis=0)[_positive(xs)]
+    return sf, -terms.sum(axis=0)[xs > 0.0]
 
 
 def _curves(side: DependentSampleSpec | MultipleOutlierSpec, x,
@@ -367,7 +361,7 @@ def multiple_outlier_second_order_hazard(spec: MultipleOutlierSpec, t):
     t = 0, where no block rate diverges in this scale."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     hz = np.zeros_like(ts)
-    hz[_positive(ts)] = _curves(replace(spec, baseline=Exponential(1.0)), ts, hazard=True)[1]
+    hz[ts > 0.0] = _curves(replace(spec, baseline=Exponential(1.0)), ts, hazard=True)[1]
     return _unwrap(hz, t)
 
 

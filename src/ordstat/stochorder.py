@@ -28,7 +28,6 @@ from .orderstats import (
     MultipleOutlierSpec,
     SampleSizeLaw,
     _curves,
-    second_order_sf_random_n,
 )
 
 __all__ = [
@@ -95,7 +94,6 @@ class Grid:
 
 @dataclass
 class DominanceReport:
-    order: str
     holds: bool
     min_margin: float
     witness_x: float
@@ -121,7 +119,6 @@ def check_st(fx, fy, grid: Grid) -> DominanceReport:
     margins = fx - fy
     i = int(np.argmin(margins))
     return DominanceReport(
-        order="st",
         holds=bool(margins[i] >= -_ST_TOL),
         min_margin=float(margins[i]),
         # + 0.0: the origin is x = -log(1) = -0.0
@@ -165,7 +162,6 @@ def check_hr(hx, hy, fx, fy, grid: Grid) -> DominanceReport:
     ratio_ok = ratio_margin >= -_HR_RATIO_TOL
 
     return DominanceReport(
-        order="hr",
         holds=hazard_ok and ratio_ok,
         min_margin=float(margins[i]),
         witness_x=float(xs[i]),
@@ -193,7 +189,6 @@ def check_rh(fx, fy, grid: Grid) -> DominanceReport:
     steps = np.diff(fy / fx)
     i = int(np.argmin(steps))
     return DominanceReport(
-        order="rh",
         holds=bool(steps[i] >= -_RH_TOL),
         min_margin=float(steps[i]),
         witness_x=float(xs[i + 1]),
@@ -218,7 +213,7 @@ class Scenario:
 
     def __post_init__(self):
         if self.theorem not in THEOREM_TAGS:
-            raise ValueError(f"theorem tag must be one of {THEOREM_TAGS}")
+            raise ValueError(f"theorem must be one of {THEOREM_TAGS}, got {self.theorem!r}")
         for law, side in ((self.law_x, self.side_x), (self.law_y, self.side_y)):
             if law is not None:
                 if not isinstance(side, DependentSampleSpec):
@@ -231,10 +226,7 @@ class Scenario:
         """Read-only (survival over grid.x, hazard over grid.positive_x) of
         the X side, then the Y side; hazards only when neither has a law."""
         hazard = self.law_x is None and self.law_y is None
-        # a law side goes through the public entry point, whose calls
-        # perfbench's orderstats.sf layer times
-        sides = tuple(_curves(side, self.grid.x, hazard=hazard) if law is None
-                      else (second_order_sf_random_n(side, law, self.grid.x), None)
+        sides = tuple(_curves(side, self.grid.x, law, hazard=hazard)
                       for side, law in ((self.side_x, self.law_x), (self.side_y, self.law_y)))
         for curve in (c for side in sides for c in side if c is not None):
             curve.setflags(write=False)
@@ -368,6 +360,9 @@ def validate_theorem(sc: Scenario) -> HypothesisReport:
                 v = majorize_check(1.0 / alphas_x, 1.0 / alphas_y)
                 conds.append(ConditionCheck("reciprocal_majorization", v.holds,
                                             f"worst margin {v.margin:.3e}"))
+                # the hr conclusion needs hazards, which a law side lacks
+                conds.append(ConditionCheck("fixed_sample_sizes",
+                                            sc.law_x is None and sc.law_y is None))
 
         return HypothesisReport(tag, tuple(conds))
 

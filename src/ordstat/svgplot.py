@@ -24,10 +24,8 @@ _CURVES = (("sf_X", 0), ("sf_Y", 0), ("hr_X", 1), ("hr_Y", 1))
 _TITLES = ("survival functions", "hazard rate functions")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _extent(v: np.ndarray) -> tuple[float, float]:

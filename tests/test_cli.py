@@ -14,7 +14,8 @@ import ordstat.stochorder
 from ordstat import cli
 from ordstat.copula import survival_copula_eval
 from ordstat.marginals import mphr_sf
-from ordstat.scenarios import example_scenario_document
+from ordstat.scenarios import ScenarioError, builtin_example, example_scenario_document
+from ordstat.stochorder import DominanceReport, validate_theorem
 from ordstat.svgplot import render_csv_plot
 
 from scenario_gen import NAN_HAZARD_DOC
@@ -80,13 +81,14 @@ class TestReproduce:
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(ordstat.stochorder, "_curves", counted)
-        for example_id in ("3", "4"):
+        for example_id in ("1", "2", "3", "4"):
             calls.clear()
             assert cli.main(["reproduce", example_id, "--out-dir", str(tmp_path),
                              "--grid-points", "150"]) == 0
             # one pass per side gives its survival and hazard, shared by the st
-            # check and both hr routes
-            assert calls == [True, True]
+            # check and both hr routes; sides with a sample-size law (examples
+            # 1 and 2) give no hazard
+            assert calls == [example_id in ("3", "4")] * 2
 
     def test_reports_print_zeros_without_a_sign(self, tmp_path):
         # the st witness at the origin is x = -log(1), and an exactly met
@@ -187,6 +189,18 @@ class TestCompare:
         path.write_text(json.dumps(doc))
         r = run_cli("compare", path, "--out-dir", tmp_path)
         assert r.returncode == 2
+
+    def test_third_example_with_sample_size_laws_fails_its_hypotheses(self, tmp_path,
+                                                                       capsys):
+        # Theorem 3 grades hazards, which a side with a law does not have: the
+        # scenario used to pass every graded hypothesis, fall back to st and
+        # exit 3
+        doc = small_grid(example_scenario_document(3))
+        doc["n1_pmf"] = doc["n2_pmf"] = [0.1, 0.2, 0.3, 0.4]
+        path = tmp_path / "laws.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "[FAIL] fixed_sample_sizes" in capsys.readouterr().out
 
     def test_clayton_recoupled_first_example_fails_log_concavity(self, tmp_path, capsys):
         # Clayton's psi is log-convex, so theorem 1's hypothesis fails
@@ -330,6 +344,82 @@ class TestCompare:
         assert "duplicate key 'theorem'" in capsys.readouterr().err
 
 
+_DELETE = object()
+
+
+@pytest.mark.parametrize("example_id,keys,value,code,text", [
+    (3, (), [1], 64, "scenario document must be a JSON object"),
+    (3, ("baseline",), _DELETE, 64, "missing key 'baseline' in scenario"),
+    (3, ("baseline",), [], 64, "baseline must be an object"),
+    (3, ("baseline", "family"), "gamma", 64, "unknown baseline family 'gamma'"),
+    (3, ("baseline", "a"), 0.0, 64, "baseline.a must be positive"),
+    (1, ("generator",), "clayton", 64, "generator must be an object"),
+    (1, ("generator", "params"), [0.1], 64, "generator.params must be an object"),
+    (1, ("generator", "name"), "gumbel", 64, "generator: unknown generator 'gumbel'"),
+    (1, ("generator", "params", "theta"), 2.0, 64, "generator: exp_tilt needs 0 < theta <= 1"),
+    (3, ("x_side",), [1], 64, "x_side must be an object"),
+    (4, ("x_side", "multiple_outlier"), 1, 64, "x_side.multiple_outlier must be an object"),
+    (4, ("x_side", "multiple_outlier", "alpha"), 2.0, 64, "x_side: alpha must lie in (0, 1]"),
+    (3, ("x_side", "alpha"), 0.5, 64,
+     "x_side.alpha is a scalar but the side length cannot be inferred"),
+    (3, ("x_side", "alpha"), [], 64, "x_side.alpha must be a number or a non-empty number list"),
+    (3, ("x_side", "lambda"), [0.5, 0.5], 64, "x_side: alpha and lambda lengths differ"),
+    (1, ("x_side", "lambda"), [0.5] * 17, 64, "x_side: sample size 17 exceeds"),
+    (1, ("n1_pmf",), 0.5, 64, "n1_pmf must be a list of probabilities"),
+    (3, ("grid",), [1], 64, "grid must be an object"),
+    (3, ("output",), "out.csv", 64, "output must be an object"),
+    (3, ("theorem",), "thm9", 64,
+     "theorem must be one of ('thm1', 'thm2', 'thm3', 'thm4', 'thm5', 'none'), got 'thm9'"),
+    (4, ("n1_pmf",), [0.5, 0.5], 64, "sample-size laws need marginal-list sides"),
+    (3, ("n1_pmf",), [0.2] * 5, 64, "sample-size law exceeds the side's size"),
+    (4, ("theorem",), "thm1", 2, "[FAIL] sides_are_marginal_lists"),
+    (3, ("theorem",), "thm5", 2, "[FAIL] sides_are_two_block"),
+], ids=["not_an_object", "missing_key", "baseline_list", "baseline_family",
+        "nonpositive", "generator_string", "params_list", "generator_family", "bad_theta",
+        "side_list", "two_block_number", "two_block_alpha", "scalar_only_side",
+        "empty_list", "length_mismatch", "beyond_max_dimension", "law_number", "grid_list",
+        "output_string", "theorem_tag", "law_on_two_block", "law_too_wide",
+        "thm1_on_two_block", "thm5_on_marginal_lists"])
+def test_rejected_scenarios_name_their_key(tmp_path, capsys, example_id, keys, value,
+                                           code, text):
+    # exit 64 names the key on stderr; a structural theorem mismatch exits 2 and
+    # reports the failed condition
+    doc = small_grid(example_scenario_document(example_id))
+    if keys:
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+    else:
+        doc = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["compare", str(path), "--out-dir", str(tmp_path / "out")]) == code
+    out, err = capsys.readouterr()
+    if code == 64:
+        assert err.startswith("scenario error: ") and text in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert text in out
+
+
+def test_unknown_example_id_rejected():
+    with pytest.raises(ScenarioError, match=r"example id must be one of \(1, 2, 3, 4\), got 5"):
+        example_scenario_document(5)
+
+
+def test_split_hazard_routes_print_a_warning():
+    scenario = builtin_example(3, {"points": 60})
+    report = DominanceReport(holds=False, min_margin=-1.0, witness_x=0.5,
+                             ratio_margin=0.0, ratio_holds=True, routes_agree=False)
+    text = cli._report_text(scenario, validate_theorem(scenario), {"hr": report}, 3, [])
+    assert ("         WARNING: the two hazard-order routes disagree "
+            "(numerical instability)\n") in text
+
+
 class TestOracleCheck:
     def test_small_run_passes(self):
         r = run_cli("oracle-check", "--n", "3", "--trials", "40", "--seed", "1")
@@ -358,6 +448,10 @@ class TestOracleCheck:
     def test_trials_must_be_positive(self, capsys, trials):
         assert cli.main(["oracle-check", "--trials", trials]) == 64
         assert "--trials" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_configuration_error(self, capsys):
+        assert cli.main(["oracle-check", "--seed", "-1", "--trials", "1"]) == 64
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_grid_and_output_options_rejected(self):
         with pytest.raises(SystemExit) as exc:

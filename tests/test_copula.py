@@ -209,6 +209,9 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             survival_copula_eval(CLAYTON, [0.5] * 17)
 
+    def test_independence_admits_any_dimension(self):
+        assert survival_copula_eval(INDEP, [0.5] * 17) == pytest.approx(0.5 ** 17, rel=1e-14)
+
     def test_component_range_guard(self):
         with pytest.raises(ValueError):
             survival_copula_eval(INDEP, [0.5, 1.2])

@@ -332,6 +332,27 @@ class TestIndependentSurvival:
                     ref = mp.exp(mp_independent_log_sf(ms, mp.mpf(x), mp))
                     assert s == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-10, 0.05, 1.0, 20.0, 1e8, 1e16])
+    def test_any_tilt_matches_50_digits(self, alpha):
+        # alpha - (1-alpha) expm1(z) cancelled once alpha > 1: at alpha = 1e16
+        # the tilted survival was above 1 at x = 20 and inf at x = 40
+        mp = pytest.importorskip("mpmath")
+        m, other = MphrMarginal(alpha, 1.0, EXP), MphrMarginal(0.5, 1.0, EXP)
+        xs = np.array([1e-8, 1e-3, 0.5, 5.0, 20.0, 40.0, 200.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sf, hz = mphr_sf(m, xs), mphr_hazard(m, xs)
+            pair = second_order_sf_independent((m, other), xs)
+        assert np.all(mphr_sf(m, np.geomspace(1e-16, 1e-6, 400)) <= 1.0)
+        with mp.workdps(50):
+            for x, s, h, p in zip(xs, sf, hz, pair):
+                g, g_other = mp_marginal_sf(m, x, mp), mp_marginal_sf(other, x, mp)
+                a = mp.mpf(alpha)
+                assert s == pytest.approx(float(g), rel=1e-15, abs=0.0)
+                assert h == pytest.approx(float(1 / (a - (1 - a) * mp.expm1(-x))),
+                                          rel=1e-15, abs=0.0)
+                assert p == pytest.approx(float(g + g_other - g * g_other), rel=1e-13, abs=0.0)
+
     def test_third_builtin_example_cross_formula(self):
         sc = builtin_example(3)
         assert second_order_sf_independent(sc.side_x.marginals, 1.0) == pytest.approx(
@@ -413,6 +434,25 @@ class TestRandomSampleSize:
                 assert np.all((sf >= 0.0) & (sf <= 1.0))
             # a plain side is the point mass at n, bit for bit
             assert np.array_equal(sf, per_size[-1])
+
+    def test_clayton_tail_where_the_full_phi_sum_overflows(self):
+        # each phi(G) is about 6.7e307 at x = 88.6: the sum of all three is inf,
+        # where psi(T) = 0 left the size-3 term 83% too large
+        mp = pytest.importorskip("mpmath")
+        spec = DependentSampleSpec((MphrMarginal(1.0, 1.0, EXP),) * 3,
+                                   builtin_generator("clayton", 8.0))
+        law = SampleSizeLaw([0.0, 0.5, 0.5])
+        xs = np.array([88.5, 88.55, 88.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sf = second_order_sf_random_n(spec, law, xs)
+        with mp.workdps(60):
+            for x, s in zip(xs, sf):
+                ref = sum(p * mp_coupled_sf(DependentSampleSpec(spec.marginals[:m],
+                                                                spec.generator),
+                                            mp.mpf(x), mp)
+                          for m, p in law.pmf if p > 0.0)
+                assert s == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_support_beyond_sample_rejected(self):
         spec = iid_exp_spec(2)
