@@ -18,7 +18,6 @@ __all__ = [
     "ArchimedeanGenerator",
     "builtin_generator",
     "check_log_concavity",
-    "survival_copula_eval",
 ]
 
 # survival coordinates at or below this are treated as exact zeros

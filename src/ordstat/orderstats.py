@@ -30,12 +30,10 @@ __all__ = [
     "second_order_sf_dependent",
     "second_order_sf_independent",
     "second_order_sf_random_n",
-    "second_order_hazard_dependent",
     "second_order_hazard_independent",
     "multiple_outlier_second_order_sf",
     "multiple_outlier_second_order_hazard",
     "multiple_outlier_sf_in_x",
-    "multiple_outlier_hazard_in_x",
     "outlier_marginals",
     "exceedance_count_distribution",
     "second_order_sf_from_counts",
@@ -114,15 +112,18 @@ class MultipleOutlierSpec:
     baseline: Weibull
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         # written so that NaN and infinity fail
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0.0 < self.lambda_out < math.inf and 0.0 < self.lambda_main < math.inf):
             raise ValueError("block parameters must be positive and finite")
         # bool is an int subclass; a float such as 2.0 or inf is not a size
         if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
                    for v in (self.p, self.q)):
             raise ValueError("block sizes p and q must be integers >= 1")
+        # the kernel carries unit counts as floats, exact up to 2**53
+        if self.p + self.q > 2**53:
+            raise ValueError(f"block sizes p + q must be at most 2**53, got {self.p + self.q}")
 
     @property
     def n(self) -> int:
@@ -297,19 +298,25 @@ def _curves(side: DependentSampleSpec | MultipleOutlierSpec, x,
             law: SampleSizeLaw | None = None, hazard: bool = False):
     """The side's survival at every x and, with ``hazard`` and no law, its
     hazard at the x > 0 points (else None), in blocks of ``_BLOCK`` points.
-    A two-block side is its marginals under independence, and a law with
-    all its mass at m is the plain side of the first m units."""
+    A two-block side is its two marginals, counted p and q times, under
+    independence, and a law with all its mass at m is the plain side of the
+    first m units."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    blocks = [xs[i:i + _BLOCK] for i in range(0, max(xs.size, 1), _BLOCK)]
     if isinstance(side, MultipleOutlierSpec):
-        marginals, g = outlier_marginals(side), _INDEPENDENCE
+        g, p, kinds = _INDEPENDENCE, 1.0, Counter()
+        # added, not set: equal block parameters make one kind of p + q units
+        for lam, count in ((side.lambda_out, side.p), (side.lambda_main, side.q)):
+            kinds[MphrMarginal(side.alpha, lam, side.baseline)] += count
     else:
         marginals, g = side.marginals, side.generator
-    blocks = [xs[i:i + _BLOCK] for i in range(0, max(xs.size, 1), _BLOCK)]
-    sizes = [(m, p) for m, p in law.pmf if p > 0.0] if law else [(len(marginals), 1.0)]
-    if len(sizes) > 1:
-        return np.concatenate([_law_sf(marginals[:sizes[-1][0]], g, law, b) for b in blocks]), None
-    (m, p), = sizes
-    sf, hz = zip(*(_plain_curves(Counter(marginals[:m]), g, b, hazard) for b in blocks))
+        sizes = [(m, p) for m, p in law.pmf if p > 0.0] if law else [(len(marginals), 1.0)]
+        if len(sizes) > 1:
+            marginals = marginals[:sizes[-1][0]]
+            return np.concatenate([_law_sf(marginals, g, law, b) for b in blocks]), None
+        (m, p), = sizes
+        kinds = Counter(marginals[:m])
+    sf, hz = zip(*(_plain_curves(kinds, g, b, hazard) for b in blocks))
     return p * np.concatenate(sf), np.concatenate(hz) if hazard else None
 
 

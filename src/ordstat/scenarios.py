@@ -19,7 +19,7 @@ from .orderstats import DependentSampleSpec, MultipleOutlierSpec, SampleSizeLaw
 from .stochorder import Grid, Scenario
 
 __all__ = ["ScenarioError", "parse_scenario", "load_scenario_file",
-           "builtin_example", "example_scenario_document", "EXAMPLE_IDS"]
+           "builtin_example", "example_scenario_document"]
 
 EXAMPLE_IDS = (1, 2, 3, 4)
 
@@ -38,6 +38,16 @@ def _get(obj: dict, key: str, where: str) -> Any:
     if key not in obj:
         raise ScenarioError(f"missing key {key!r} in {where}")
     return obj[key]
+
+
+def _optional_object(obj: dict, key: str, where: str) -> dict:
+    """``obj[key]``, an object; only a missing key or JSON null is empty."""
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be an object")
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -87,9 +97,7 @@ def _parse_generator(doc: dict):
         raise ScenarioError("generator must be an object")
     _require_keys(obj, {"name", "params"}, "generator")
     name = _get(obj, "name", "generator")
-    params = obj.get("params") or {}
-    if not isinstance(params, dict):
-        raise ScenarioError("generator.params must be an object")
+    params = _optional_object(obj, "params", "generator.params")
     _require_keys(params, {"theta"}, "generator.params")
     theta = params.get("theta")
     if theta is not None:
@@ -164,9 +172,7 @@ def _parse_law(doc: dict, key: str) -> SampleSizeLaw | None:
 
 
 def _parse_grid(doc: dict, override: dict | None = None) -> Grid:
-    raw = doc.get("grid") or {}
-    if not isinstance(raw, dict):
-        raise ScenarioError("grid must be an object")
+    raw = _optional_object(doc, "grid", "grid")
     convert = {"points": _integer, "u_min": _number, "u_max": _number}
     _require_keys(raw, set(convert), "grid")
     # a key the document leaves out takes Grid.default's value
@@ -195,9 +201,7 @@ def parse_scenario(doc: dict, grid_override: dict | None = None,
     law_y = _parse_law(doc, "n2_pmf")
     grid = _parse_grid(doc, grid_override)
     theorem = doc.get("theorem", "none")
-    output = doc.get("output") or {}
-    if not isinstance(output, dict):
-        raise ScenarioError("output must be an object")
+    output = _optional_object(doc, "output", "output")
     _require_keys(output, {"csv", "svg", "report"}, "output")
     for key, value in output.items():
         if not (isinstance(value, str) and value):

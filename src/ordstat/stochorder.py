@@ -34,11 +34,8 @@ __all__ = [
     "Grid",
     "DominanceReport",
     "Scenario",
-    "THEOREM_TAGS",
-    "PRIMARY_CHECK",
     "check_st",
     "check_hr",
-    "check_rh",
     "ConditionCheck",
     "HypothesisReport",
     "validate_theorem",
@@ -261,9 +258,6 @@ class HypothesisReport:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.conditions)
-
-    def failed(self) -> list[str]:
-        return [c.name for c in self.conditions if not c.passed]
 
 
 def _common_cone(u, v) -> tuple[bool, str]:

@@ -23,7 +23,6 @@ from ordstat import (
     multiple_outlier_second_order_hazard,
     multiple_outlier_second_order_sf,
     oracle_identity_max_deviation,
-    second_order_hazard_dependent,
     second_order_hazard_independent,
     second_order_sf_dependent,
     second_order_sf_independent,
@@ -34,6 +33,7 @@ from ordstat import (
     weak_supermajorize_check,
 )
 from ordstat.mcsim import SimConfig, mc_vs_analytic_report
+from ordstat.orderstats import second_order_hazard_dependent
 from ordstat.scenarios import builtin_example
 from ordstat.stochorder import (
     PRIMARY_CHECK,

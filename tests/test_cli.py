@@ -355,11 +355,15 @@ _DELETE = object()
     (3, ("baseline", "a"), 0.0, 64, "baseline.a must be positive"),
     (1, ("generator",), "clayton", 64, "generator must be an object"),
     (1, ("generator", "params"), [0.1], 64, "generator.params must be an object"),
+    (1, ("generator", "params"), [], 64, "generator.params must be an object"),
+    (1, ("generator", "params"), 0, 64, "generator.params must be an object"),
     (1, ("generator", "name"), "gumbel", 64, "generator: unknown generator 'gumbel'"),
     (1, ("generator", "params", "theta"), 2.0, 64, "generator: exp_tilt needs 0 < theta <= 1"),
     (3, ("x_side",), [1], 64, "x_side must be an object"),
     (4, ("x_side", "multiple_outlier"), 1, 64, "x_side.multiple_outlier must be an object"),
-    (4, ("x_side", "multiple_outlier", "alpha"), 2.0, 64, "x_side: alpha must lie in (0, 1]"),
+    (4, ("x_side", "multiple_outlier", "alpha"), 2.0, 2, "[FAIL] tilt_in_unit_interval"),
+    (4, ("x_side", "multiple_outlier", "p"), 10**30, 64,
+     "x_side: block sizes p + q must be at most 2**53"),
     (3, ("x_side", "alpha"), 0.5, 64,
      "x_side.alpha is a scalar but the side length cannot be inferred"),
     (3, ("x_side", "alpha"), [], 64, "x_side.alpha must be a number or a non-empty number list"),
@@ -367,7 +371,11 @@ _DELETE = object()
     (1, ("x_side", "lambda"), [0.5] * 17, 64, "x_side: sample size 17 exceeds"),
     (1, ("n1_pmf",), 0.5, 64, "n1_pmf must be a list of probabilities"),
     (3, ("grid",), [1], 64, "grid must be an object"),
+    (3, ("grid",), [], 64, "grid must be an object"),
+    (3, ("grid",), 0, 64, "grid must be an object"),
     (3, ("output",), "out.csv", 64, "output must be an object"),
+    (3, ("output",), "", 64, "output must be an object"),
+    (3, ("output",), False, 64, "output must be an object"),
     (3, ("theorem",), "thm9", 64,
      "theorem must be one of ('thm1', 'thm2', 'thm3', 'thm4', 'thm5', 'none'), got 'thm9'"),
     (4, ("n1_pmf",), [0.5, 0.5], 64, "sample-size laws need marginal-list sides"),
@@ -375,10 +383,12 @@ _DELETE = object()
     (4, ("theorem",), "thm1", 2, "[FAIL] sides_are_marginal_lists"),
     (3, ("theorem",), "thm5", 2, "[FAIL] sides_are_two_block"),
 ], ids=["not_an_object", "missing_key", "baseline_list", "baseline_family",
-        "nonpositive", "generator_string", "params_list", "generator_family", "bad_theta",
-        "side_list", "two_block_number", "two_block_alpha", "scalar_only_side",
-        "empty_list", "length_mismatch", "beyond_max_dimension", "law_number", "grid_list",
-        "output_string", "theorem_tag", "law_on_two_block", "law_too_wide",
+        "nonpositive", "generator_string", "params_list", "params_empty_list",
+        "params_zero", "generator_family", "bad_theta", "side_list", "two_block_number",
+        "two_block_alpha", "two_block_size_beyond_float", "scalar_only_side", "empty_list",
+        "length_mismatch", "beyond_max_dimension", "law_number", "grid_list",
+        "grid_empty_list", "grid_zero", "output_string", "output_empty_string",
+        "output_false", "theorem_tag", "law_on_two_block", "law_too_wide",
         "thm1_on_two_block", "thm5_on_marginal_lists"])
 def test_rejected_scenarios_name_their_key(tmp_path, capsys, example_id, keys, value,
                                            code, text):

@@ -8,9 +8,8 @@ from ordstat import (
     ArchimedeanGenerator,
     builtin_generator,
     check_log_concavity,
-    survival_copula_eval,
 )
-from ordstat.copula import _INVERSE_TOL, PHI_CLAMP_U
+from ordstat.copula import _INVERSE_TOL, PHI_CLAMP_U, survival_copula_eval
 
 INDEP = builtin_generator("independence")
 EXP_TILT = builtin_generator("exp_tilt", 0.1)

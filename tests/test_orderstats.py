@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordstat.orderstats
 from ordstat import (
     ArchimedeanGenerator,
     DependentSampleSpec,
@@ -16,23 +17,25 @@ from ordstat import (
     Weibull,
     builtin_generator,
     exceedance_count_distribution,
-    multiple_outlier_hazard_in_x,
     multiple_outlier_second_order_hazard,
     multiple_outlier_second_order_sf,
     multiple_outlier_sf_in_x,
     mphr_sf,
     oracle_identity_max_deviation,
     outlier_marginals,
-    second_order_hazard_dependent,
     second_order_hazard_independent,
     second_order_sf_dependent,
     second_order_sf_from_counts,
     second_order_sf_independent,
     second_order_sf_random_n,
-    survival_copula_eval,
 )
+from ordstat.copula import survival_copula_eval
 from ordstat.marginals import mphr_hazard
-from ordstat.orderstats import _curves
+from ordstat.orderstats import (
+    _curves,
+    multiple_outlier_hazard_in_x,
+    second_order_hazard_dependent,
+)
 from ordstat.scenarios import builtin_example, parse_scenario
 from ordstat.stochorder import Grid
 
@@ -697,11 +700,39 @@ class TestMultipleOutlier:
             assert_matches_60_digit_hazard(
                 outlier_marginals(spec), xs, lambda t: multiple_outlier_hazard_in_x(spec, t))
 
+    @pytest.mark.parametrize("lam_main,p,q", [(0.7, 10**9, 3), (2.0, 5 * 10**8, 5 * 10**8)],
+                             ids=["two_kinds", "one_kind"])
+    def test_block_sizes_are_counted_not_expanded(self, monkeypatch, lam_main, p, q):
+        # p + q marginals would take seconds and gigabytes to list; equal block
+        # parameters must add their counts into one kind of unit
+        mp = pytest.importorskip("mpmath")
+
+        def expanded(spec):
+            raise AssertionError("two-block side expanded into a marginal list")
+
+        monkeypatch.setattr(ordstat.orderstats, "outlier_marginals", expanded)
+        spec = MultipleOutlierSpec(0.5, 2.0, lam_main, p, q, Weibull(1.3, 0.9))
+        xs = np.array([0.0, 1e-12, 1e-11, 5e-11, 2e-10, 1e-9])
+        got = multiple_outlier_sf_in_x(spec, xs)
+        with mp.workdps(50):
+            for x, value in zip(xs, got):
+                ms = [MphrMarginal(0.5, lam, spec.baseline) for lam in (2.0, lam_main)]
+                G = [mp_marginal_sf(m, x, mp) for m in ms]
+                want = mp.exp(p * mp.log(G[0]) + q * mp.log(G[1])) * (
+                    1 + p * (1 - G[0]) / G[0] + q * (1 - G[1]) / G[1])
+                assert value == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert 0.0 < got[-1] < 1e-3
+
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            MultipleOutlierSpec(1.2, 0.1, 0.3, 1, 1, EXP)
+        # any finite tilt alpha > 0 is a valid model, as for a marginal list
+        assert MultipleOutlierSpec(1.2, 0.1, 0.3, 1, 1, EXP).n == 2
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                MultipleOutlierSpec(bad, 0.1, 0.3, 1, 1, EXP)
         with pytest.raises(ValueError):
             MultipleOutlierSpec(0.5, 0.1, 0.3, 0, 1, EXP)
+        with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+            MultipleOutlierSpec(0.5, 0.1, 0.3, 2**53, 1, EXP)
         for bad in (float("inf"), -float("inf")):
             with pytest.raises(ValueError):
                 MultipleOutlierSpec(0.5, bad, 1.0, 1, 2, EXP)
