@@ -714,9 +714,9 @@ class TestMultipleOutlier:
         spec = MultipleOutlierSpec(0.5, 2.0, lam_main, p, q, Weibull(1.3, 0.9))
         xs = np.array([0.0, 1e-12, 1e-11, 5e-11, 2e-10, 1e-9])
         got = multiple_outlier_sf_in_x(spec, xs)
+        ms = [MphrMarginal(0.5, lam, spec.baseline) for lam in (2.0, lam_main)]
         with mp.workdps(50):
             for x, value in zip(xs, got):
-                ms = [MphrMarginal(0.5, lam, spec.baseline) for lam in (2.0, lam_main)]
                 G = [mp_marginal_sf(m, x, mp) for m in ms]
                 want = mp.exp(p * mp.log(G[0]) + q * mp.log(G[1])) * (
                     1 + p * (1 - G[0]) / G[0] + q * (1 - G[1]) / G[1])
