@@ -153,10 +153,15 @@ def _resolve_out_dir(flag_value: str | None) -> Path:
 
 def _output_paths(out_dir: Path, stem: str, output: dict) -> list[Path]:
     """The CSV, SVG and report paths in ``out_dir``, named by ``output`` or
-    else from ``stem``; two that coincide are rejected, naming their keys."""
+    else from ``stem``, made from the scenario's name.  A file name that is
+    not bare, or two that coincide, are rejected, naming their keys."""
     names = {"csv": f"{stem}_curves.csv", "svg": f"{stem}_plot.svg",
              "report": f"{stem}_report.txt", **output}
-    for name in names.values():
+    for key, name in names.items():
+        # a directory part, "." or ".." would leave or replace --out-dir
+        if Path(name).name != name or name == "..":
+            where = f"output.{key}" if key in output else "name"
+            raise ScenarioError(f"{where} gives the file {name!r}, not a bare file name")
         same = [f"output.{k}" for k, other in names.items() if other == name]
         if len(same) > 1:
             raise ScenarioError(f"{' and '.join(same)} name the same file {name!r}")

@@ -3,9 +3,9 @@
 A generator is the decreasing map psi from [0, inf] onto [0, 1] together
 with its inverse phi.  The joint survival of a coordinate vector u is
 psi(sum phi(u_i)).  Every psi must work elementwise on numpy arrays: the
-closed forms call it on whole rows of grid points.  A user generator may
-omit phi and psi', which then fall back to a numeric inverse (bisection)
-and a numeric derivative (central differences).
+closed forms call it on whole rows of grid points.  A custom generator
+gives psi alone; its phi is a numeric inverse (bisection) and its psi' a
+numeric derivative (central differences).
 """
 
 from __future__ import annotations
@@ -28,15 +28,35 @@ _INVERSE_TOL = 1e-12
 _LOG_CONCAVITY_TOL = 1e-9
 
 
-def _numeric_inverse(psi):
-    """Invert a decreasing psi by bisection, growing the bracket as needed.
+class ArchimedeanGenerator:
+    """A generator given by psi alone.
 
-    All points bisect together: each psi call takes the points whose bracket
-    is still open, and each point stops by its own width rule.  A bracket
-    that must grow past 1e300 gives inf.
+    ``phi`` inverts psi by bisection and ``psi_prime`` is a central
+    difference of it; ``builtin_generator`` sets closed forms on the
+    instance in their place.  ``max_dimension`` is the dimension up to which
+    the owner claims the copula conditions hold; joint evaluations beyond it
+    are refused.
+
+    The kernel's pieces (see ``builtin_generator``) are here differences of
+    log psi and log |psi'|, inf or NaN where those underflow.  Every method
+    reads the attributes at call time, so a wrapper set on them sees every
+    call.
     """
 
-    def phi(u):
+    max_dimension = 16
+
+    def __init__(self, name, *, psi):
+        self.name = str(name)
+        self.params = {}
+        self.psi = psi
+
+    def phi(self, u):
+        """Inverse of psi by bisection, growing the bracket as needed.
+
+        All points bisect together: each psi call takes the points whose
+        bracket is still open, and each point stops by its own width rule.
+        A bracket that must grow past 1e300 gives inf.
+        """
         u = np.asarray(u, dtype=float)
         bad = u[~((u >= 0.0) & (u <= 1.0))]
         if bad.size:
@@ -47,58 +67,30 @@ def _numeric_inverse(psi):
         lo, hi = np.zeros(idx.size), np.ones(idx.size)
         grow = np.arange(idx.size)
         while grow.size:
-            grow = grow[psi(hi[grow]) > target[grow]]
+            grow = grow[self.psi(hi[grow]) > target[grow]]
             hi[grow] *= 2.0
             grow = grow[hi[grow] <= 1e300]
         bounded = hi <= 1e300
         live = np.flatnonzero(bounded)
         while (live := live[hi[live] - lo[live] > _INVERSE_TOL * np.maximum(1.0, hi[live])]).size:
             mid = 0.5 * (lo[live] + hi[live])
-            above = psi(mid) > target[live]
+            above = self.psi(mid) > target[live]
             lo[live[above]] = mid[above]
             hi[live[~above]] = mid[~above]
         out.flat[idx[bounded]] = 0.5 * (lo + hi)[bounded]
         return float(out) if out.ndim == 0 else out
 
-    return phi
-
-
-def _numeric_derivative(psi):
-    """Central difference with step max(1e-6, 1e-6*x), one-sided near 0, and
-    the limit -0 at x = inf, as the builtins give."""
-
-    def psi_prime(x):
+    def psi_prime(self, x):
+        """Central difference with step max(1e-6, 1e-6*x), one-sided near 0,
+        and the limit -0 at x = inf, as the builtins give."""
         x = np.asarray(x, dtype=float)
         at_inf = x == math.inf
         x = np.where(at_inf, 0.0, x)
         h = np.maximum(1e-6, 1e-6 * np.abs(x))
         lo = np.maximum(x - h, 0.0)
         hi = x + h
-        out = np.where(at_inf, -0.0, (psi(hi) - psi(lo)) / (hi - lo))
+        out = np.where(at_inf, -0.0, (self.psi(hi) - self.psi(lo)) / (hi - lo))
         return out[()] if out.ndim == 0 else out
-
-    return psi_prime
-
-
-class ArchimedeanGenerator:
-    """psi/phi pair with optional analytic first derivative of psi.
-
-    ``max_dimension`` is the dimension up to which the owner claims the
-    copula conditions hold; joint evaluations beyond it are refused.
-
-    The kernel's pieces (see ``builtin_generator``) are here differences of
-    log psi and log |psi'|, inf or NaN where those underflow; they read the
-    attributes at call time, so a wrapper set on them sees every call.
-    """
-
-    max_dimension = 16
-
-    def __init__(self, name, params=None, *, psi, phi=None, psi_prime=None):
-        self.name = str(name)
-        self.params = dict(params or {})
-        self.psi = psi
-        self.phi = phi if phi is not None else _numeric_inverse(psi)
-        self.psi_prime = psi_prime if psi_prime is not None else _numeric_derivative(psi)
 
     def _rho(self, s):
         return np.asarray(self.phi(np.exp(-s)), dtype=float)
@@ -238,7 +230,8 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
         with np.errstate(divide="ignore"):
             return rho(-np.log(np.asarray(u, dtype=float)))
 
-    g = ArchimedeanGenerator(name, params, psi=psi, phi=phi, psi_prime=psi_prime)
+    g = ArchimedeanGenerator(name, psi=psi)
+    g.params, g.phi, g.psi_prime = params, phi, psi_prime
     g._rho, g._log_lam, g._D_gap = rho, log_lam, D_gap
     if name == "independence":
         g.max_dimension = 10**9

@@ -1,4 +1,4 @@
-"""Vector pre-orders, discrete stochastic order, and the ratio lemma.
+"""Vector pre-orders and the discrete stochastic order.
 
 All order checks work on sorted copies, report the worst slack across the
 defining partial-sum inequalities, and treat anything within 1e-12 of zero
@@ -18,7 +18,6 @@ __all__ = [
     "weak_submajorize_check",
     "cone_membership",
     "st_order_discrete",
-    "lemma_T_monotone",
 ]
 
 TOL = 1e-12
@@ -93,19 +92,3 @@ def st_order_discrete(law1, law2) -> OrderVerdict:
     top = max(law1.max_support, law2.max_support)
     return _verdict(np.array([law1.survival(m) - law2.survival(m) for m in range(top + 1)]))
 
-
-def lemma_T_monotone(p: float, grid) -> bool:
-    """x^2 / (1 - p + p x)^2 is non-decreasing on [0, 1] for p in (0, 1].
-
-    At p = 1 the ratio is constant 1 on (0, 1]; its 0/0 corner at x = 0 is
-    filled with that limit.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    xs = np.asarray(grid, dtype=float)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError("grid must lie in [0, 1]")
-    denom = (1.0 - p + p * xs) ** 2
-    with np.errstate(invalid="ignore"):
-        T = np.where(denom > 0.0, xs**2 / np.where(denom > 0.0, denom, 1.0), 1.0)
-    return bool(np.all(np.diff(T) >= -TOL))

@@ -22,9 +22,6 @@ __all__ = [
     "mphr_sf",
     "mphr_hazard",
     "mphr_quantile",
-    "distortion_h",
-    "tilt_cdf",
-    "dual_tilt_cdf",
 ]
 
 
@@ -34,15 +31,6 @@ def _as_time(x):
     if np.any(np.isnan(x)) or np.any(x < 0.0):
         raise ValueError("time values must be nonnegative and finite")
     return x[()] if x.ndim == 0 else x
-
-
-def _as_prob(u, *, upper_open: bool = False, name: str = "probability"):
-    u = np.asarray(u, dtype=float)
-    hi_bad = (u >= 1.0) if upper_open else (u > 1.0)
-    if np.any(np.isnan(u)) or np.any(u < 0.0) or np.any(hi_bad):
-        hi = "1)" if upper_open else "1]"
-        raise ValueError(f"{name} must lie in [0, {hi}")
-    return u[()] if u.ndim == 0 else u
 
 
 @dataclass(frozen=True)
@@ -153,42 +141,12 @@ def mphr_hazard(m: MphrMarginal, x):
 
 def mphr_quantile(m: MphrMarginal, u):
     """Inverse of mphr_cdf on [0, 1)."""
-    u = _as_prob(u, upper_open=True)
+    u = np.asarray(u, dtype=float)
+    # written so that NaN fails
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise ValueError("probability must lie in [0, 1)")
     s = (1.0 - u) / (1.0 - (1.0 - m.alpha) * u)
     # s <= 1 analytically; clip roundoff overshoot before the root
     s = np.minimum(s, 1.0)
     return m.baseline.quantile(np.power(s, 1.0 / m.lam))
 
-
-def distortion_h(u, alpha: float, lam: float):
-    """Distortion mapping a baseline survival value to the family's cdf.
-
-    distortion_h(Fbar(x), alpha, lam) equals mphr_cdf at x.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    u = _as_prob(u, name="survival value")
-    with np.errstate(divide="ignore"):
-        z = lam * np.log(u)
-    return -np.expm1(z) / _tilt_divisor(alpha, z)
-
-
-def tilt_cdf(x, alpha: float, baseline: Weibull):
-    """Tilt family written on the survival side: F / (1 - (1-alpha) * Fbar)."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    ls = baseline.log_sf(x)
-    return -np.expm1(ls) / _tilt_divisor(alpha, ls)
-
-
-def dual_tilt_cdf(x, alpha: float, baseline: Weibull):
-    """Dual tilt family written on the cdf side: alpha * F / (1 - (1-alpha) * F).
-
-    Evaluating ``tilt_cdf`` at tilt 1/alpha gives the same distribution.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    F = -np.expm1(baseline.log_sf(x))
-    return alpha * F / (1.0 - (1.0 - alpha) * F)

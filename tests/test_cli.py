@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ordstat.orderstats
@@ -297,19 +298,26 @@ class TestCompare:
         assert where in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("output,where", [
-        ({"csv": "same.txt", "svg": "same.txt"}, "output.csv and output.svg"),
-        ({"report": "example3_curves.csv"}, "output.csv and output.report"),
-        ({"csv": "../escaped.csv"}, "output.csv"),
-        ({"report": "ABSOLUTE"}, "output.report"),
-    ], ids=["same_file", "default_name", "parent_dir", "absolute"])
+    @pytest.mark.parametrize("entries,where", [
+        ({"output": {"csv": "same.txt", "svg": "same.txt"}}, "output.csv and output.svg"),
+        ({"output": {"report": "example3_curves.csv"}}, "output.csv and output.report"),
+        ({"output": {"csv": "../escaped.csv"}}, "output.csv"),
+        ({"output": {"report": "ABSOLUTE"}}, "output.report"),
+        ({"name": "../escaped"}, "name gives the file '../escaped_curves.csv'"),
+        ({"name": "ABSOLUTE"}, "name gives the file"),
+    ], ids=["same_file", "default_name", "parent_dir", "absolute", "name_parent_dir",
+            "name_absolute"])
     def test_output_entries_name_distinct_files_in_out_dir(self, tmp_path, capsys,
-                                                            output, where):
+                                                            entries, where):
         # before, each of these exited 0: the SVG replaced the CSV, or a file
         # landed outside --out-dir
+        def placed(value):
+            return str(tmp_path / "abs") if value == "ABSOLUTE" else value
+
         doc = small_grid(example_scenario_document(3))
-        doc["output"] = {k: str(tmp_path / "abs.txt") if v == "ABSOLUTE" else v
-                         for k, v in output.items()}
+        doc["output"] = {k: placed(v) for k, v in entries.get("output", {}).items()}
+        if "name" in entries:
+            doc["name"] = placed(entries["name"])
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         out_dir = tmp_path / "out" / "inner"
@@ -326,6 +334,33 @@ class TestCompare:
                          "--out-dir", str(tmp_path / "out")]) == 64
         assert "output.svg and output.report" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_simulate_name_stays_in_out_dir(self, tmp_path, capsys):
+        doc = small_grid(example_scenario_document(3))
+        doc["name"] = "../escaped"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path), "--replications", "1000",
+                         "--out-dir", str(tmp_path / "out" / "inner")]) == 64
+        assert "name gives the file '../escaped_mc_curves.csv'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("key", ["theorem", "name"])
+    def test_null_key_takes_its_default(self, tmp_path, key):
+        # JSON null reads as an absent key, as for every other optional key
+        results = []
+        for case in ("absent", "null"):
+            doc = small_grid(example_scenario_document(3))
+            if case == "absent":
+                del doc[key]
+            else:
+                doc[key] = None
+            path = tmp_path / case / "scenario.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(doc))
+            code = cli.main(["compare", str(path), "--out-dir", str(tmp_path / "out")])
+            results.append((code, next((tmp_path / "out").glob("*_report.txt")).read_bytes()))
+        assert results[0] == results[1]
 
     def test_deeply_nested_json_exits_64(self, tmp_path, capsys):
         # json.loads raises RecursionError here, which used to escape as a traceback
@@ -378,6 +413,10 @@ _DELETE = object()
     (3, ("output",), False, 64, "output must be an object"),
     (3, ("theorem",), "thm9", 64,
      "theorem must be one of ('thm1', 'thm2', 'thm3', 'thm4', 'thm5', 'none'), got 'thm9'"),
+    (3, ("theorem",), "", 64, "theorem must be one of"),
+    (3, ("theorem",), 0, 64, "theorem must be one of"),
+    (3, ("theorem",), False, 64, "theorem must be one of"),
+    (3, ("name",), False, 64, "name must be a string, got False"),
     (4, ("n1_pmf",), [0.5, 0.5], 64, "sample-size laws need marginal-list sides"),
     (3, ("n1_pmf",), [0.2] * 5, 64, "sample-size law exceeds the side's size"),
     (4, ("theorem",), "thm1", 2, "[FAIL] sides_are_marginal_lists"),
@@ -388,7 +427,8 @@ _DELETE = object()
         "two_block_alpha", "two_block_size_beyond_float", "scalar_only_side", "empty_list",
         "length_mismatch", "beyond_max_dimension", "law_number", "grid_list",
         "grid_empty_list", "grid_zero", "output_string", "output_empty_string",
-        "output_false", "theorem_tag", "law_on_two_block", "law_too_wide",
+        "output_false", "theorem_tag", "theorem_empty", "theorem_zero", "theorem_false",
+        "name_false", "law_on_two_block", "law_too_wide",
         "thm1_on_two_block", "thm5_on_marginal_lists"])
 def test_rejected_scenarios_name_their_key(tmp_path, capsys, example_id, keys, value,
                                            code, text):
@@ -438,11 +478,14 @@ class TestOracleCheck:
 
     def test_sign_flip_injection_detected(self, monkeypatch, capsys):
         def sign_flipped_sf(spec, x):
-            G = [float(mphr_sf(m, x)) for m in spec.marginals]
-            n = len(G)
-            acc = sum(survival_copula_eval(spec.generator, G[:i] + G[i + 1:])
-                      for i in range(n))
-            return acc + (n - 1) * survival_copula_eval(spec.generator, G)
+            def at(x):
+                G = [float(mphr_sf(m, x)) for m in spec.marginals]
+                n = len(G)
+                acc = sum(survival_copula_eval(spec.generator, G[:i] + G[i + 1:])
+                          for i in range(n))
+                return acc + (n - 1) * survival_copula_eval(spec.generator, G)
+
+            return np.array([at(v) for v in np.atleast_1d(x)])
 
         monkeypatch.setattr(ordstat.orderstats, "second_order_sf_dependent",
                             sign_flipped_sf)

@@ -11,7 +11,6 @@ from ordstat import (
     Weibull,
     builtin_generator,
     cone_membership,
-    lemma_T_monotone,
     majorize_check,
     second_order_hazard_independent,
     second_order_sf_dependent,
@@ -258,28 +257,3 @@ class TestSchurConditions:
     def test_cone_filtering(self):
         with pytest.raises(ValueError):
             schur_condition_check(lambda z: 0.0, "I+", [np.array([3.0, 1.0, 2.0])])
-
-
-class TestRatioMonotoneLemma:
-    def test_unit_p_is_constant_one(self):
-        grid = np.linspace(0.0, 1.0, 101)
-        assert lemma_T_monotone(1.0, grid)
-
-    def test_half_p_increasing(self):
-        assert lemma_T_monotone(0.5, np.linspace(0.0, 1.0, 100))
-
-    def test_every_p_on_dense_grid(self):
-        for p in np.linspace(0.05, 1.0, 20):
-            assert lemma_T_monotone(float(p), np.linspace(0.0, 1.0, 200))
-
-    def test_endpoint_values(self):
-        for p in (0.2, 0.7, 0.99):
-            T = lambda v: v**2 / (1 - p + p * v) ** 2
-            assert T(0.0) == 0.0
-            assert T(1.0) == pytest.approx(1.0)
-
-    def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            lemma_T_monotone(0.0, np.linspace(0, 1, 10))
-        with pytest.raises(ValueError):
-            lemma_T_monotone(1.5, np.linspace(0, 1, 10))

@@ -8,13 +8,10 @@ from ordstat import (
     Exponential,
     MphrMarginal,
     Weibull,
-    distortion_h,
-    dual_tilt_cdf,
     mphr_cdf,
     mphr_hazard,
     mphr_quantile,
     mphr_sf,
-    tilt_cdf,
 )
 
 EXP = Exponential(1.0)
@@ -124,6 +121,18 @@ class TestCdfSf:
         assert mphr_sf(m, 1e8) == 0.0
         assert mphr_cdf(m, 1e8) == 1.0
 
+    def test_marginal_parameter_validation(self):
+        with pytest.raises(ValueError):
+            MphrMarginal(0.0, 1.0, EXP)
+        with pytest.raises(ValueError):
+            MphrMarginal(0.5, 0.0, EXP)
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                MphrMarginal(bad, 1.0, EXP)
+            with pytest.raises(ValueError):
+                MphrMarginal(0.5, bad, EXP)
+        MphrMarginal(2.5, 1.0, EXP)  # alpha above 1 is representable
+
 
 class TestHazard:
     def test_alpha_one_reduces_to_scaled_baseline(self):
@@ -185,56 +194,5 @@ class TestQuantile:
             mphr_quantile(m, 1.0)
         with pytest.raises(ValueError):
             mphr_quantile(m, -0.1)
-
-
-class TestDistortion:
-    def test_boundary_values(self):
-        assert distortion_h(1.0, 0.4, 2.0) == 0.0
-        assert distortion_h(0.0, 0.4, 2.0) == 1.0
-
-    def test_alpha_one_power_form(self):
-        us = np.linspace(0, 1, 30)
-        np.testing.assert_allclose(distortion_h(us, 1.0, 3.0), 1.0 - us**3,
-                                   atol=1e-15)
-
-    def test_composes_to_cdf(self):
-        rng = np.random.default_rng(7)
-        xs = np.linspace(0.0, 12.0, 50)
-        for _ in range(10):
-            m = random_marginal(rng, alpha_hi=2.0)
-            composed = distortion_h(m.baseline.sf(xs), m.alpha, m.lam)
-            np.testing.assert_allclose(composed, mphr_cdf(m, xs), atol=1e-14)
-
-    def test_lam_one_matches_tilt_family(self):
-        xs = np.linspace(0.0, 8.0, 40)
-        base = Weibull(0.9, 1.4)
-        np.testing.assert_allclose(distortion_h(base.sf(xs), 0.35, 1.0),
-                                   tilt_cdf(xs, 0.35, base), atol=1e-15)
-
-    def test_domain_error(self):
         with pytest.raises(ValueError):
-            distortion_h(1.2, 0.5, 1.0)
-
-
-class TestTiltDuality:
-    def test_reciprocal_tilt_identity(self):
-        rng = np.random.default_rng(8)
-        xs = np.linspace(0.0, 10.0, 80)
-        for _ in range(25):
-            alpha = rng.uniform(0.05, 4.0)
-            base = Weibull(rng.uniform(0.3, 2.0), rng.uniform(0.4, 2.5))
-            np.testing.assert_allclose(tilt_cdf(xs, 1.0 / alpha, base),
-                                       dual_tilt_cdf(xs, alpha, base),
-                                       atol=1e-12)
-
-    def test_marginal_parameter_validation(self):
-        with pytest.raises(ValueError):
-            MphrMarginal(0.0, 1.0, EXP)
-        with pytest.raises(ValueError):
-            MphrMarginal(0.5, 0.0, EXP)
-        for bad in (float("inf"), -float("inf")):
-            with pytest.raises(ValueError):
-                MphrMarginal(bad, 1.0, EXP)
-            with pytest.raises(ValueError):
-                MphrMarginal(0.5, bad, EXP)
-        MphrMarginal(2.5, 1.0, EXP)  # alpha above 1 is representable
+            mphr_quantile(m, float("nan"))

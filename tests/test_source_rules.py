@@ -30,12 +30,17 @@ def _top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _declared_all(tree: ast.Module) -> list[str]:
+def _all_node(tree: ast.Module) -> ast.Assign | None:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return ast.literal_eval(node.value)
-    return []
+            return node
+    return None
+
+
+def _declared_all(tree: ast.Module) -> list[str]:
+    node = _all_node(tree)
+    return ast.literal_eval(node.value) if node else []
 
 
 def test_exports_are_defined_and_declared():
@@ -45,6 +50,43 @@ def test_exports_are_defined_and_declared():
     undefined = [f"{mod}.{name}" for mod, tree in trees.items()
                  for name in _declared_all(tree) if name not in _top_level_names(tree)]
     assert not undefined, f"__all__ lists names its module does not define: {undefined}"
+
+
+def _reads(tree: ast.AST, skip: set) -> set[str]:
+    """Names loaded and attributes taken in ``tree``, outside ``skip`` nodes."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_exports_have_a_reader():
+    # a public name that neither the package nor the benchmark reads is
+    # surface kept for its own tests; its definition and __all__ entry do not count
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {name for _, names, _ in tracing.LAYERS.values() for name in names}
+    unread = []
+    for path in SOURCES:
+        own = trees[path]
+        elsewhere = set().union(*(_reads(t, set()) for p, t in trees.items() if p != path))
+        for name in _declared_all(own):
+            skip = {_all_node(own)} | {node for node in own.body if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) and node.name == name}
+            if name not in traced | elsewhere | _reads(own, skip):
+                unread.append(f"{path.stem}.{name}")
+    assert not unread, f"__all__ names that nothing in src/ordstat or perfbench reads: {unread}"
 
 
 def test_benchmark_tracer_names_exist():
