@@ -105,8 +105,9 @@ class ArchimedeanGenerator:
                          for f in (self.psi, self.psi_prime))
 
     def key(self):
-        """Identity tuple used when two specs must share a generator."""
-        return (self.name, tuple(sorted(self.params.items())))
+        """Identity tuple used when two specs must share a generator: the
+        name and the psi object, as psi alone gives a custom generator."""
+        return (self.name, self.psi)
 
     def __repr__(self):
         pars = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -232,6 +233,8 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
 
     g = ArchimedeanGenerator(name, psi=psi)
     g.params, g.phi, g.psi_prime = params, phi, psi_prime
+    # each call builds a new psi, so a builtin is known by its name and params
+    g.key = lambda: (name, tuple(sorted(params.items())))
     g._rho, g._log_lam, g._D_gap = rho, log_lam, D_gap
     if name == "independence":
         g.max_dimension = 10**9

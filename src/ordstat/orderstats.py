@@ -41,8 +41,9 @@ __all__ = [
 ]
 
 _INDEPENDENCE = builtin_generator("independence")
-# grid points per kernel pass, so that each (units, points) temporary stays small
-_BLOCK = 2048
+# unit-point elements per kernel pass: each (units, points) temporary stays
+# at 256 KiB whatever the unit count, and a side of few units takes few passes
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -297,12 +298,17 @@ def _plain_curves(kinds: Counter, g: ArchimedeanGenerator, xs: np.ndarray, hazar
 def _curves(side: DependentSampleSpec | MultipleOutlierSpec, x,
             law: SampleSizeLaw | None = None, hazard: bool = False):
     """The side's survival at every x and, with ``hazard`` and no law, its
-    hazard at the x > 0 points (else None), in blocks of ``_BLOCK`` points.
-    A two-block side is its two marginals, counted p and q times, under
+    hazard at the x > 0 points (else None), in passes of at most ``_BLOCK``
+    unit-point elements, the units being the rows the kernel carries.  A
+    two-block side is its two marginals, counted p and q times, under
     independence, and a law with all its mass at m is the plain side of the
     first m units."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    blocks = [xs[i:i + _BLOCK] for i in range(0, max(xs.size, 1), _BLOCK)]
+
+    def passes(units):
+        step = max(1, _BLOCK // units)
+        return [xs[i:i + step] for i in range(0, max(xs.size, 1), step)]
+
     if isinstance(side, MultipleOutlierSpec):
         g, p, kinds = _INDEPENDENCE, 1.0, Counter()
         # added, not set: equal block parameters make one kind of p + q units
@@ -313,10 +319,11 @@ def _curves(side: DependentSampleSpec | MultipleOutlierSpec, x,
         sizes = [(m, p) for m, p in law.pmf if p > 0.0] if law else [(len(marginals), 1.0)]
         if len(sizes) > 1:
             marginals = marginals[:sizes[-1][0]]
-            return np.concatenate([_law_sf(marginals, g, law, b) for b in blocks]), None
+            return np.concatenate([_law_sf(marginals, g, law, b)
+                                   for b in passes(len(marginals))]), None
         (m, p), = sizes
         kinds = Counter(marginals[:m])
-    sf, hz = zip(*(_plain_curves(kinds, g, b, hazard) for b in blocks))
+    sf, hz = zip(*(_plain_curves(kinds, g, b, hazard) for b in passes(len(kinds))))
     return p * np.concatenate(sf), np.concatenate(hz) if hazard else None
 
 

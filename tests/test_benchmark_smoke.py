@@ -35,8 +35,7 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 
 
-@pytest.mark.parametrize("name", WORKLOADS.WORKLOADS)
-def test_warmup_ops_pass_their_checks(name, tmp_path, monkeypatch):
+def failed_warmup_checks(name, tmp_path, monkeypatch):
     # the harness writes its outputs under a path relative to the cwd
     monkeypatch.chdir(tmp_path)
     work = Path("work")
@@ -48,4 +47,16 @@ def test_warmup_ops_pass_their_checks(name, tmp_path, monkeypatch):
     for inp in inputs:
         out = workload.run(ordstat, inp)
         failed += [(inp[0], check) for check in workload.check(ordstat, inp, out)]
-    assert not failed
+    return failed
+
+
+@pytest.mark.parametrize("name", WORKLOADS.WORKLOADS)
+def test_warmup_ops_pass_their_checks(name, tmp_path, monkeypatch):
+    assert not failed_warmup_checks(name, tmp_path, monkeypatch)
+
+
+def test_certify_checks_hold_on_curves_split_into_passes(tmp_path, monkeypatch):
+    # 99 unit-point elements a pass: each side of the warm-up's 1000-point
+    # grids spans tens of passes, the last of them ragged
+    monkeypatch.setattr(ordstat.orderstats, "_BLOCK", 99)
+    assert not failed_warmup_checks("certify", tmp_path, monkeypatch)

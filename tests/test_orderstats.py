@@ -810,6 +810,80 @@ class TestCoupledCurves:
             assert hz == pytest.approx(0.01, rel=1e-12, abs=0.0)
 
 
+def bits(a):
+    """The float64 array's bits, so that NaN equals NaN and -0 differs from +0."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestKernelPasses:
+    # a body, the clayton(8) window where the full phi sum overflows while
+    # each row does not (88.59 to 88.72), and a tail where phi rows are
+    # infinite and the tilt's failure odds overflow (x > 707 at lam = 1)
+    XS = np.concatenate([np.linspace(0.0, 3.0, 20), np.linspace(88.5, 88.8, 20),
+                         np.linspace(300.0, 800.0, 21)])
+
+    MARGINALS = tuple(MphrMarginal(a, lam, EXP)
+                      for a, lam in zip([0.3, 1.0, 0.7, 0.05], [0.5, 1.0, 2.0, 3.0]))
+    # (side, law, hazard)
+    ROUTES = {
+        "plain": (DependentSampleSpec(MARGINALS, builtin_generator("clayton", 2.0)), None, True),
+        "law": (DependentSampleSpec(tuple(MphrMarginal(1.0, lam, EXP)
+                                          for lam in [1.0, 1.0, 1.0, 0.9]),
+                                    builtin_generator("clayton", 8.0)),
+                SampleSizeLaw([0.0, 0.3, 0.3, 0.4]), False),
+        "two_block_equal": (MultipleOutlierSpec(0.5, 1.5, 1.5, 2, 3, EXP), None, True),
+        "two_block_unequal": (MultipleOutlierSpec(0.05, 3.0, 0.5, 2, 3, EXP), None, True),
+        "custom": (DependentSampleSpec(MARGINALS, custom_clayton(2.0)), None, True),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_pass_split_never_changes_a_bit(self, route, monkeypatch):
+        side, law, hazard = self.ROUTES[route]
+        default = ordstat.orderstats._BLOCK
+        monkeypatch.setattr(ordstat.orderstats, "_BLOCK", 10**9)
+        whole = _curves(side, self.XS, law, hazard)
+        # one point per pass; 30 leaves a ragged last pass for 1, 2 and 4
+        # units (61 points as 30 + 30 + 1, 4 x 15 + 1, 8 x 7 + 5); the default
+        for block in (1, 30, default):
+            monkeypatch.setattr(ordstat.orderstats, "_BLOCK", block)
+            split = _curves(side, self.XS, law, hazard)
+            for a, b in zip(split, whole):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.array_equal(bits(a), bits(b))
+
+    @pytest.mark.parametrize("units", [1, 2, 4, 16, 40])
+    def test_no_pass_holds_more_than_the_budget(self, units, monkeypatch):
+        rng = np.random.default_rng(7 + units)
+        xs = Grid.default(points=40000).x
+        if units <= 2:
+            # one kind when the block parameters are equal, else two
+            side, law = MultipleOutlierSpec(0.5, 1.0, float(units), 3, 4, EXP), None
+        else:
+            gen = builtin_generator("clayton", 2.0) if units <= 16 else INDEP
+            side = random_spec(rng, units, gen)
+            law = SampleSizeLaw(np.full(units, 1.0 / units)) if units == 16 else None
+        passes = []
+
+        def spy(kernel, at):
+            # ``at`` is the place of xs among the kernel's arguments
+            def counted(*args):
+                passes.append((len(args[0]), args[at].size))
+                return kernel(*args)
+            return counted
+
+        for name, at in (("_plain_curves", 2), ("_law_sf", 3)):
+            monkeypatch.setattr(ordstat.orderstats, name,
+                                spy(getattr(ordstat.orderstats, name), at))
+        _curves(side, xs, law, hazard=law is None)
+        block = ordstat.orderstats._BLOCK
+        step = block // units
+        assert all(rows == units and rows * size <= block for rows, size in passes)
+        # as few passes as the budget allows: all full but the last
+        assert [size for _, size in passes] == [step] * (xs.size // step) + (
+            [xs.size % step] if xs.size % step else [])
+
+
 class TestExceedanceCounts:
     def test_independent_pair_is_binomial(self):
         spec = iid_exp_spec(2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ordstat import (
+    ArchimedeanGenerator,
     DependentSampleSpec,
     Exponential,
     Grid,
@@ -277,6 +278,26 @@ class TestValidators:
         sc = Scenario(mk([0.25, 0.5]), mk([0.4, 0.4]), GRID, theorem="thm3")
         rep = validate_theorem(sc)
         assert "independent_sample" in failed(rep)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["two_psis", "one_psi"])
+    def test_custom_generators_are_shared_by_their_psi(self, shared):
+        def clayton_psi(theta):
+            return lambda t: np.power(1.0 + np.asarray(t, dtype=float), -1.0 / theta)
+
+        psi_x = clayton_psi(0.5)
+        psi_y = psi_x if shared else clayton_psi(5.0)
+        base = Exponential(1.0)
+        mk = lambda psi, lams: DependentSampleSpec(
+            tuple(MphrMarginal(0.8, v, base) for v in lams),
+            ArchimedeanGenerator("c", psi=psi))
+        sc = Scenario(mk(psi_x, [0.2, 0.4]), mk(psi_y, [0.3, 0.4]), GRID, theorem="thm1")
+        assert ("shared_generator" in failed(validate_theorem(sc))) is not shared
+
+    def test_builtin_generators_are_shared_by_name_and_params(self):
+        assert builtin_generator("clayton", 2.0).key() == builtin_generator("clayton", 2.0).key()
+        assert builtin_generator("clayton", 2.0).key() != builtin_generator("clayton", 3.0).key()
+        assert (builtin_generator("independence").key()
+                == builtin_generator("independence").key())
 
     def test_block_size_nesting_detected(self):
         base = Exponential(1.0)
