@@ -9,6 +9,9 @@ cross-check all of them.  One kernel serves every side, coupled or
 independent, two-block included: a sum of nonnegative terms over the phi
 rows, with every leave-one-out sum grown in one walk.  A random sample
 size mixes the closed forms of the first m units along that walk.
+``second_order_sf_dependent`` and ``second_order_hazard_dependent`` take a
+coupled or a two-block spec; ``multiple_outlier_sf_in_x`` and
+``multiple_outlier_hazard_in_x`` are those same two functions.
 """
 
 from __future__ import annotations
@@ -161,11 +164,6 @@ def _marginal_terms(marginals: Sequence[MphrMarginal], xs: np.ndarray, hazard: b
 
 def _unwrap(value: np.ndarray, x):
     return float(value[0]) if np.ndim(x) == 0 else value
-
-
-def _check_hazard_times(x):
-    if np.any(np.asarray(x, dtype=float) <= 0.0):
-        raise ValueError("hazard is evaluated for x > 0 only")
 
 
 def _leave_one_out(rows: np.ndarray):
@@ -327,19 +325,34 @@ def _curves(side: DependentSampleSpec | MultipleOutlierSpec, x,
     return p * np.concatenate(sf), np.concatenate(hz) if hazard else None
 
 
-def second_order_sf_dependent(spec: DependentSampleSpec, x):
-    """P(second failure after x) under the coupling copula.
+def second_order_sf_dependent(spec: DependentSampleSpec | MultipleOutlierSpec, x):
+    """P(second failure after x) of a coupled or a two-block side.
 
     sum_i psi(sum_{j != i} phi(G_j)) - (n-1) psi(sum phi(G_j)), with G_j the
-    marginal survivals at x.  A single-unit sample gives 1: its second
-    failure never happens.
+    marginal survivals at x; a two-block side is its p + q units under
+    independence.  A single-unit sample gives 1: its second failure never
+    happens.
     """
     return _unwrap(_curves(spec, x)[0], x)
 
 
+def second_order_hazard_dependent(spec: DependentSampleSpec | MultipleOutlierSpec, x):
+    """Hazard of a coupled or a two-block second-order statistic for x > 0,
+    by analytic chain rule; finite where the survival underflows, NaN where
+    every leave-one-out phi sum is infinite."""
+    if np.any(np.asarray(x, dtype=float) <= 0.0):
+        raise ValueError("hazard is evaluated for x > 0 only")
+    return _unwrap(_curves(spec, x, hazard=True)[1], x)
+
+
+# the two-block survival and hazard in the original time scale
+multiple_outlier_sf_in_x = second_order_sf_dependent
+multiple_outlier_hazard_in_x = second_order_hazard_dependent
+
+
 def second_order_sf_independent(marginals: Sequence[MphrMarginal], x):
     """Survival of the second-order statistic of independent units."""
-    return _unwrap(_curves(DependentSampleSpec(marginals, _INDEPENDENCE), x)[0], x)
+    return second_order_sf_dependent(DependentSampleSpec(marginals, _INDEPENDENCE), x)
 
 
 def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
@@ -350,24 +363,15 @@ def second_order_sf_random_n(spec: DependentSampleSpec, law: SampleSizeLaw, x):
     return _unwrap(_curves(spec, x, law)[0], x)
 
 
-def second_order_hazard_dependent(spec: DependentSampleSpec, x):
-    """Hazard of the coupled second-order statistic for x > 0, by analytic
-    chain rule; finite where the survival underflows, NaN where every
-    leave-one-out phi sum is infinite."""
-    _check_hazard_times(x)
-    return _unwrap(_curves(spec, x, hazard=True)[1], x)
-
-
 def second_order_hazard_independent(marginals: Sequence[MphrMarginal], x):
     """Hazard of the independent second-order statistic for x > 0."""
-    _check_hazard_times(x)
-    return _unwrap(_curves(DependentSampleSpec(marginals, _INDEPENDENCE), x, hazard=True)[1], x)
+    return second_order_hazard_dependent(DependentSampleSpec(marginals, _INDEPENDENCE), x)
 
 
 def multiple_outlier_second_order_sf(spec: MultipleOutlierSpec, t):
     """Survival of the two-block second-order statistic in the t scale, which
     is the x scale of the same blocks over the unit exponential baseline."""
-    return multiple_outlier_sf_in_x(replace(spec, baseline=Exponential(1.0)), t)
+    return second_order_sf_dependent(replace(spec, baseline=Exponential(1.0)), t)
 
 
 def multiple_outlier_second_order_hazard(spec: MultipleOutlierSpec, t):
@@ -377,17 +381,6 @@ def multiple_outlier_second_order_hazard(spec: MultipleOutlierSpec, t):
     hz = np.zeros_like(ts)
     hz[ts > 0.0] = _curves(replace(spec, baseline=Exponential(1.0)), ts, hazard=True)[1]
     return _unwrap(hz, t)
-
-
-def multiple_outlier_sf_in_x(spec: MultipleOutlierSpec, x):
-    """Survival in the original time scale."""
-    return _unwrap(_curves(spec, x)[0], x)
-
-
-def multiple_outlier_hazard_in_x(spec: MultipleOutlierSpec, x):
-    """Hazard in the original time scale, for x > 0."""
-    _check_hazard_times(x)
-    return _unwrap(_curves(spec, x, hazard=True)[1], x)
 
 
 def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.ndarray:

@@ -77,6 +77,10 @@ class Grid:
     @classmethod
     def default(cls, points: int = 1000, u_min: float = 1e-3,
                 u_max: float = 1.0) -> "Grid":
+        # checked before linspace, which warns on an infinite end; written so
+        # that NaN fails
+        if not (0.0 < u_min <= 1.0 and 0.0 < u_max <= 1.0):
+            raise ValueError("grid values must lie in (0, 1]")
         return cls(np.linspace(u_min, u_max, points))
 
     @property
@@ -252,7 +256,6 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    theorem: str
     conditions: tuple[ConditionCheck, ...]
 
     @property
@@ -308,11 +311,11 @@ def validate_theorem(sc: Scenario) -> HypothesisReport:
     tag = sc.theorem
 
     if tag == "none":
-        return HypothesisReport("none", ())
+        return HypothesisReport(())
 
     if tag in ("thm1", "thm2", "thm3"):
         if not _structural_dependent(sc, conds):
-            return HypothesisReport(tag, tuple(conds))
+            return HypothesisReport(tuple(conds))
         sx, sy = sc.side_x, sc.side_y
         alphas_x = np.array([m.alpha for m in sx.marginals])
         alphas_y = np.array([m.alpha for m in sy.marginals])
@@ -358,13 +361,13 @@ def validate_theorem(sc: Scenario) -> HypothesisReport:
                 conds.append(ConditionCheck("fixed_sample_sizes",
                                             sc.law_x is None and sc.law_y is None))
 
-        return HypothesisReport(tag, tuple(conds))
+        return HypothesisReport(tuple(conds))
 
     # two-block theorems
     ok = isinstance(sc.side_x, MultipleOutlierSpec) and isinstance(sc.side_y, MultipleOutlierSpec)
     conds.append(ConditionCheck("sides_are_two_block", ok))
     if not ok:
-        return HypothesisReport(tag, tuple(conds))
+        return HypothesisReport(tuple(conds))
     sx, sy = sc.side_x, sc.side_y
     conds.append(ConditionCheck("shared_baseline", sx.baseline == sy.baseline))
     conds.append(ConditionCheck("common_tilt_scalar", sx.alpha == sy.alpha))
@@ -392,4 +395,4 @@ def validate_theorem(sc: Scenario) -> HypothesisReport:
         v = weak_submajorize_check([float(sy.p), float(sy.q)], [float(sx.p), float(sx.q)])
         conds.append(ConditionCheck("size_pair_weak_submajorization", v.holds,
                                     f"worst margin {v.margin:.3e}"))
-    return HypothesisReport(tag, tuple(conds))
+    return HypothesisReport(tuple(conds))

@@ -252,8 +252,12 @@ class TestCompare:
         assert cli.main(["compare", str(path), "--out-dir", str(tmp_path)]) == 64
         assert "grid.points" in capsys.readouterr().err
 
-    def test_nan_u_min_names_the_grid(self, tmp_path, capsys):
-        code = cli.main(["reproduce", "3", "--u-min", "nan", "--out-dir", str(tmp_path)])
+    # argparse reads 1e309 as inf
+    @pytest.mark.parametrize("u_min", ["nan", "inf", "1e309"])
+    def test_non_finite_u_min_names_the_grid(self, tmp_path, capsys, u_min):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["reproduce", "3", "--u-min", u_min, "--out-dir", str(tmp_path)])
         assert code == 64
         assert "grid values must lie in (0, 1]" in capsys.readouterr().err
 

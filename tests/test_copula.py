@@ -188,6 +188,8 @@ class TestEvaluation:
         us = np.linspace(1e-4, 1.0, 40)
         for u in us:
             assert survival_copula_eval(gen, [u]) == pytest.approx(float(u), abs=1e-12)
+        # a 0-d coordinate is a vector of one
+        assert survival_copula_eval(gen, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("gen", ALL_BUILTINS, ids=lambda g: g.name)
     def test_monotone_in_each_coordinate(self, gen):
@@ -237,6 +239,14 @@ class TestLogConcavity:
     def test_clayton_not_log_concave(self):
         # log psi = -log(1+x)/theta is convex, the negative control
         ok, margin = check_log_concavity(CLAYTON)
+        assert not ok
+        assert margin > 1e-9
+        # Clayton with theta = 100: phi(1e-6) passes the double range, so the
+        # grid ends at 50
+        slow = ArchimedeanGenerator(
+            "slow", psi=lambda t: np.power(1.0 + np.asarray(t, dtype=float), -0.01))
+        assert slow.phi(1e-6) == math.inf
+        ok, margin = check_log_concavity(slow)
         assert not ok
         assert margin > 1e-9
 

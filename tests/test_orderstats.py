@@ -628,6 +628,10 @@ class TestDependentHazard:
 
 
 class TestMultipleOutlier:
+    def test_x_scale_curves_are_the_side_entries(self):
+        assert multiple_outlier_sf_in_x is second_order_sf_dependent
+        assert multiple_outlier_hazard_in_x is second_order_hazard_dependent
+
     def test_homogeneous_blocks_collapse_to_iid(self):
         base = Weibull(0.9, 1.3)
         spec = MultipleOutlierSpec(0.4, 0.8, 0.8, 2, 3, base)

@@ -60,6 +60,8 @@ class TestGrid:
             Grid(np.ones(60))                    # not increasing
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             Grid.default(u_min=np.nan)           # all-NaN u
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            Grid.default(u_max=np.inf)           # rejected before linspace warns
         with pytest.raises(ValueError):
             Grid(np.r_[np.linspace(0.1, 0.9, 59), np.nan])  # trailing NaN
 
