@@ -4,7 +4,8 @@ A marginal is a triple (alpha, lam, baseline): the baseline survival is
 raised to the power ``lam`` and then passed through the Marshall-Olkin
 tilt with parameter ``alpha``.  All evaluations go through the baseline's
 log-survival so that extreme times degrade to exact 0/1 limits instead of
-NaN.
+NaN, and the quantile inverts the log-survival so a small ``lam`` cannot
+underflow it.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ class Weibull:
         # diverges at x=0 for b < 1; the inf sentinel is intentional
         with np.errstate(divide="ignore"):
             return self.a * self.b * np.power(self.a * _as_time(x), self.b - 1.0)
-
-    def quantile(self, v):
-        """Inverse of the survival function on (0, 1]."""
-        v = np.asarray(v, dtype=float)
-        if np.any(v <= 0.0) or np.any(v > 1.0):
-            raise ValueError("survival level must lie in (0, 1]")
-        out = np.power(-np.log(v), 1.0 / self.b) / self.a
-        return out[()] if out.ndim == 0 else out
 
 
 def Exponential(rate: float) -> Weibull:
@@ -145,8 +138,8 @@ def mphr_quantile(m: MphrMarginal, u):
     # written so that NaN fails
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise ValueError("probability must lie in [0, 1)")
-    s = (1.0 - u) / (1.0 - (1.0 - m.alpha) * u)
-    # s <= 1 analytically; clip roundoff overshoot before the root
-    s = np.minimum(s, 1.0)
-    return m.baseline.quantile(np.power(s, 1.0 / m.lam))
+    # -lam log Fbar = -log((1-u) / (1-(1-alpha)u)) >= 0, in log space so a
+    # small lam cannot underflow Fbar to 0; clip roundoff below 0
+    t = np.maximum(np.log1p(-(1.0 - m.alpha) * u) - np.log1p(-u), 0.0)
+    return np.power(t / m.lam, 1.0 / m.baseline.b) / m.baseline.a
 

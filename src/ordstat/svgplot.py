@@ -1,14 +1,16 @@
 """Deterministic SVG rendering of the curves ``ordstat`` writes.
 
 ``render_csv_plot`` reads a curves CSV: a header line, then rows of unquoted
-comma-separated fields, each as wide as the header.  ``render_curve_plot``
-takes the arrays that CSV is printed from and draws the same picture without
-printing and re-parsing them; the CLI draws with it, so rendering the
-written CSV reproduces the written plot byte for byte.  Both entry points
-reduce to the same float arrays, one pair per series, which stay arrays up
-to the one format call of each polyline.  Survival columns and
-hazard columns each get a panel when present; an empty cell is skipped and
-Monte Carlo rows are drawn dashed.
+comma-separated fields, each as wide as the header.  It parses the CSV into
+one block of float columns per source.  ``render_curve_plot`` takes the
+arrays that CSV is printed from as those blocks, without printing and
+re-parsing them; the CLI draws with it, so rendering the written CSV
+reproduces the written plot byte for byte.  Both hand their blocks to one
+series function, and the arrays stay arrays up to the one format call of
+each polyline.  Survival columns and hazard columns each get a panel when
+present.  A point is drawn only where both its value and its x are finite;
+an empty cell reads as NaN, so it is skipped too.  Monte Carlo rows are
+drawn dashed.
 """
 
 from __future__ import annotations
@@ -28,16 +30,10 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
-def _extent(v: np.ndarray) -> tuple[float, float]:
-    # builtin min/max over v: a NaN met first sticks and a later one is
-    # skipped, so nanmin/nanmax run only where v[0] is a number
-    return (v[0], v[0]) if np.isnan(v[0]) else (np.nanmin(v), np.nanmax(v))
-
-
 def _panel(series: dict[str, tuple[np.ndarray, np.ndarray]], title: str,
            y_offset: int) -> list[str]:
-    x_lo, x_hi = _extent(np.concatenate([s[0] for s in series.values()]))
-    y_lo, y_hi = _extent(np.concatenate([s[1] for s in series.values()]))
+    xs, ys = (np.concatenate(v) for v in zip(*series.values()))
+    x_lo, x_hi, y_lo, y_hi = xs.min(), xs.max(), ys.min(), ys.max()
     pad = 0.05 * (y_hi - y_lo) or 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if x_hi <= x_lo:
@@ -91,62 +87,32 @@ def _panel(series: dict[str, tuple[np.ndarray, np.ndarray]], title: str,
     return out
 
 
-def _csv_series(csv_text: str) -> list[tuple]:
-    """The drawable series of a curves CSV, as ``_document`` takes them."""
-    lines = csv_text.splitlines()
-    header = lines[0].split(",") if lines else []
-    rows = (line.split(",") for line in lines[1:] if line)
-    cols = {col[0]: col[1:] for col in zip(header, *rows, strict=True)}
-    x = np.array(list(map(float, cols["x"])) if cols else [])
-    groups: dict[str, list[int]] = {}
-    for i, src in enumerate(cols.get("source") or ["analytic"] * len(x)):
-        groups.setdefault(src, []).append(i)
+def _series(blocks) -> tuple[dict, dict]:
+    """The drawable series of ``blocks`` as (survival, hazard) panels of
+    name -> (x, y).
 
-    found = []
-    for order, (col, panel) in enumerate(_CURVES):
-        cells = cols.get(col)
-        for src, rows_of_src in groups.items() if cells else ():
-            idx = [i for i in rows_of_src if cells[i]]
-            if idx:
-                found.append((idx[0], order, panel, _name(col, src), x[idx],
-                              np.array([float(cells[i]) for i in idx])))
-    return found
-
-
-def _block_series(x: np.ndarray, blocks) -> list[tuple]:
-    """The series ``_csv_series`` finds in the CSV that ``cli`` writes for
-    ``blocks``, read from the arrays themselves.
-
-    A block is (source, sf_X, sf_Y, hr_X, hr_Y) with the rows of ``x``, one
-    block after another; ``None`` is an empty column and an array shorter
-    than ``x`` leaves its last rows empty.  Every survival value is drawn,
-    NaN included; a hazard value only where it is finite.  Sources are
-    distinct.
+    A block is (source, x, sf_X, sf_Y, hr_X, hr_Y) with sources distinct;
+    ``None`` is a column left out and an array shorter than ``x`` covers its
+    first rows.  A point is drawn only where both its value and its x are
+    finite.
     """
-    found = []
-    for b, (source, *curves) in enumerate(blocks):
-        for order, ((col, panel), values) in enumerate(zip(_CURVES, curves)):
+    panels: tuple[dict, dict] = ({}, {})
+    for source, x, *curves in blocks:
+        for (col, panel), values in zip(_CURVES, curves):
             if values is None:
                 continue
-            rows = np.arange(values.size)
-            if panel:
-                rows = rows[np.isfinite(values)]
-            if rows.size:
-                found.append((b * x.size + int(rows[0]), order, panel, _name(col, source),
-                              x[rows], values[rows]))
-    return found
+            xs = x[:values.size]
+            keep = np.isfinite(xs) & np.isfinite(values)
+            if keep.any():
+                panels[panel][_name(col, source)] = (xs[keep], values[keep])
+    return panels
 
 
 def _name(col: str, source: str) -> str:
     return col if source == "analytic" else f"{col} ({source})"
 
 
-def _document(found: list[tuple]) -> str:
-    # Series are ordered by their first row, as a row-by-row reader meets
-    # them: with a nan cell, a panel's min/max depend on that order.
-    by_panel: tuple[dict, dict] = ({}, {})
-    for *_, panel, name, xs, ys in sorted(found, key=lambda f: f[:2]):
-        by_panel[panel][name] = (xs, ys)
+def _document(by_panel: tuple[dict, dict]) -> str:
     panels = [(title, series) for title, series in zip(_TITLES, by_panel) if series]
     if not panels:
         raise ValueError("CSV contains no drawable curve columns")
@@ -162,12 +128,30 @@ def _document(found: list[tuple]) -> str:
     )
 
 
+def _floats(cells) -> np.ndarray:
+    # an empty cell is NaN, so the finite-value rule of _series skips it
+    return np.array([float(c or "nan") for c in cells], dtype=float)
+
+
 def render_csv_plot(csv_text: str) -> str:
     """Render the curves CSV (schema u,x,sf_X,sf_Y,hr_X,hr_Y,source) to SVG."""
-    return _document(_csv_series(csv_text))
+    lines = csv_text.splitlines()
+    header = lines[0].split(",") if lines else []
+    rows = (line.split(",") for line in lines[1:] if line)
+    cols = {col[0]: col[1:] for col in zip(header, *rows, strict=True)}
+    x = _floats(cols["x"] if cols else ())
+    curves = [_floats(cols[col]) if col in cols else None for col, _ in _CURVES]
+    sources = np.array(cols.get("source") or ["analytic"] * x.size)
+    blocks = []
+    for source in dict.fromkeys(sources.tolist()):
+        rows_of_source = sources == source
+        blocks.append((source, x[rows_of_source],
+                       *(None if c is None else c[rows_of_source] for c in curves)))
+    return _document(_series(blocks))
 
 
 def render_curve_plot(x, blocks) -> str:
     """The SVG that ``render_csv_plot`` gives for ``cli._csv_text(grid, blocks)``,
     with ``x = grid.x``, drawn from the arrays without printing them."""
-    return _document(_block_series(np.asarray(x, dtype=float), blocks))
+    x = np.asarray(x, dtype=float)
+    return _document(_series((source, x, *curves) for source, *curves in blocks))

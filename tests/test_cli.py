@@ -529,6 +529,18 @@ class TestSimulate:
         assert sources == {"analytic", "mc"}
         assert (tmp_path / "example3_mc_plot.svg").exists()
 
+    def test_small_lam_scenario_passes(self, tmp_path, capsys):
+        # a unit with lam = 0.01 draws lifetimes whose baseline survival
+        # s^(1/lam) underflows to 0 in linear space
+        side = {"alpha": [1.0, 0.5], "lambda": [0.01, 1.0]}
+        doc = small_grid({"name": "small_lam", "x_side": side, "y_side": side,
+                          "baseline": {"family": "exponential", "rate": 1.0}})
+        path = tmp_path / "small_lam.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path), "--replications", "20000", "--seed", "5",
+                         "--out-dir", str(tmp_path)]) == 0, capsys.readouterr().err
+        assert "verdict: PASS" in capsys.readouterr().out
+
     def test_coupled_scenario_rejected(self, tmp_path):
         doc = small_grid(example_scenario_document(1))
         path = tmp_path / "dep.json"

@@ -30,11 +30,6 @@ class TestBaselines:
         assert np.all(np.diff(w.sf(xs)) <= 0.0)
         assert w.sf(1e6) < 1e-12
 
-    def test_weibull_quantile_inverts_survival(self):
-        w = Weibull(0.7, 1.8)
-        vs = np.linspace(1e-6, 1.0, 100)
-        assert np.max(np.abs(w.sf(w.quantile(vs)) - vs)) < 1e-12
-
     def test_weibull_hazard_nonnegative_and_divergence_at_origin(self):
         assert Weibull(1.5, 0.2).hazard(0.0) == np.inf
         assert Weibull(1.5, 2.0).hazard(0.0) == 0.0
@@ -171,8 +166,23 @@ class TestQuantile:
         m = MphrMarginal(1.0, 2.0, EXP)
         assert mphr_quantile(m, 0.0) == 0.0
         u = 0.73
-        assert mphr_quantile(m, u) == pytest.approx(
-            EXP.quantile((1.0 - u) ** 0.5), rel=1e-14)
+        assert mphr_quantile(m, u) == pytest.approx(-np.log((1.0 - u) ** 0.5), rel=1e-14)
+
+    def test_weibull_quantile_inverts_survival(self):
+        # alpha = lam = 1 leaves the bare baseline
+        w = Weibull(0.7, 1.8)
+        vs = np.linspace(1e-6, 1.0, 100)
+        m = MphrMarginal(1.0, 1.0, w)
+        assert np.max(np.abs(w.sf(mphr_quantile(m, 1.0 - vs)) - vs)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_small_lam_does_not_underflow(self, alpha):
+        # Fbar = s^(1/lam) is below 1e-1500 here, far under the smallest double
+        m = MphrMarginal(alpha, 0.002, EXP)
+        u = 0.9995
+        want = np.log((1.0 - (1.0 - alpha) * u) / (1.0 - u)) / 0.002
+        assert mphr_quantile(m, u) == pytest.approx(want, rel=1e-13)
+        assert mphr_cdf(m, mphr_quantile(m, u)) == pytest.approx(u, rel=1e-14)
 
     def test_half_tilt_inverse_of_cdf_example(self):
         m = MphrMarginal(0.5, 1.0, EXP)

@@ -1,14 +1,16 @@
 """Golden bytes of the SVG renderer.
 
-Each digest is the SHA-256 of ``render_csv_plot`` on one CSV, recorded from
-the row-by-row ``csv.DictReader`` renderer that the column-parsing one
-replaced.  They pin every byte of the picture: any change in parsing,
-series order, scaling or number formatting shows here.  The plots the CLI
-writes, which it draws from its curve arrays, must carry the same digests.
+Each digest is the SHA-256 of ``render_csv_plot`` on one CSV.  They pin
+every byte of the picture: any change in parsing, scaling or number
+formatting shows here.  The plots the CLI writes, which it draws from its
+curve arrays, must carry the same digests.  A point is drawn only where its
+value and its x are finite, so a ``nan`` cell draws what an empty one does
+and no SVG holds a ``nan`` or ``inf`` token.
 """
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -48,8 +50,8 @@ GOLDEN = {
     "simulate": "24d755c6918ec9c3c9dccce8c38f2659177eac386a19348b17ea5d5b182c9582",
     "survival_only": "9f04e8ad9b49056711db01691c9fe67278040d96e291085a4675dcdf7bd589bf",
     "one_row": "640232ccd50d385a255caa018470e05e1dca58ef256cb5011089715529373227",
-    "nan_cell": "372bec8f9840e557591dd89ecad32b76e21b67fa94baba2e6085a0aa86f25967",
-    "nan_first_in_row_order": "3fd6d12f6f1fef46c6c03f094d172d2bfcd91d5e99d61690c3dfe58ae537b792",
+    "nan_cell": "a59398b4badc4d47fce780ade3b44c0b7575a8e0fa7372b818503b9bceeb5894",
+    "nan_first_in_row_order": "89e56108cfe1d9b00f5c2a6b498b9d110e01b13f92b295d5ca2f03d2bcadad29",
 }
 
 
@@ -84,6 +86,21 @@ def test_golden_bytes(name, cli_files):
 @pytest.mark.parametrize("name", sorted(set(GOLDEN) - set(INLINE_CSVS)))
 def test_cli_plot_files_are_golden(name, cli_files):
     assert sha256(cli_files[name][1]) == GOLDEN[name]
+
+
+def assert_no_non_finite_token(svg: str) -> None:
+    assert not re.findall(r"\b(?:nan|inf)\b", svg, flags=re.IGNORECASE)
+
+
+@pytest.mark.parametrize("name", ["nan_cell", "nan_first_in_row_order"])
+def test_nan_cell_draws_as_an_empty_cell(name):
+    csv_text = INLINE_CSVS[name]
+    assert render_csv_plot(csv_text) == render_csv_plot(csv_text.replace("nan", ""))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_plots_hold_no_non_finite_token(name, cli_files):
+    assert_no_non_finite_token(render_csv_plot(INLINE_CSVS.get(name) or cli_files[name][0]))
 
 
 def _synthetic_blocks(case: str, grid: Grid) -> list:
@@ -174,3 +191,14 @@ def test_curve_plot_equals_plot_of_written_csv_on_random_blocks():
         assert render_curve_plot(grid.x, blocks) == render_csv_plot(cli._csv_text(grid, blocks))
         drawn += 1
     assert drawn > 190
+
+
+def test_random_block_plots_hold_no_non_finite_token():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        grid = Grid.default(points=int(rng.integers(50, 91)), u_min=1e-5)
+        blocks = _random_blocks(rng, grid)
+        if all(c is None for block in blocks for c in block[1:]):
+            continue
+        assert_no_non_finite_token(render_curve_plot(grid.x, blocks))
+        assert_no_non_finite_token(render_csv_plot(cli._csv_text(grid, blocks)))
