@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .copula import _Independence
 from .mcsim import SimConfig, mc_vs_analytic_report
 from .orderstats import DependentSampleSpec, oracle_identity_max_deviation
 from .scenarios import (
@@ -221,7 +222,7 @@ def _cmd_simulate(args) -> int:
     scenario, output = load_scenario_file(args.scenario, _grid_override(args))
     side = scenario.side_x
     if not (isinstance(side, DependentSampleSpec)
-            and side.generator.name == "independence" and scenario.law_x is None):
+            and isinstance(side.generator, _Independence) and scenario.law_x is None):
         print("simulate needs an independent x_side without a sample-size law",
               file=sys.stderr)
         return 2

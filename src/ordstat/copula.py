@@ -5,12 +5,14 @@ with its inverse phi.  The joint survival of a coordinate vector u is
 psi(sum phi(u_i)).  Every psi must work elementwise on numpy arrays: the
 closed forms call it on whole rows of grid points.  A custom generator
 gives psi alone; its phi is a numeric inverse (bisection) and its psi' a
-numeric derivative (central differences).
+numeric derivative (central differences).  Each builtin family is a class
+of its own, in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -32,15 +34,16 @@ class ArchimedeanGenerator:
     """A generator given by psi alone.
 
     ``phi`` inverts psi by bisection and ``psi_prime`` is a central
-    difference of it; ``builtin_generator`` sets closed forms on the
-    instance in their place.  ``max_dimension`` is the dimension up to which
-    the owner claims the copula conditions hold; joint evaluations beyond it
-    are refused.
+    difference of it.  ``max_dimension`` is the dimension up to which the
+    owner claims the copula conditions hold; joint evaluations beyond it are
+    refused.
 
-    The kernel's pieces (see ``builtin_generator``) are here differences of
-    log psi and log |psi'|, inf or NaN where those underflow.  Every method
-    reads the attributes at call time, so a wrapper set on them sees every
-    call.
+    The kernel reads three pieces: rho(s) = phi(e^-s), log lam with
+    lam = -psi'/psi, and for E, P >= 0, D = log psi(E) - log psi(E+P) and
+    gap = log |psi'(E)| - log |psi'(E+P)|, both >= 0 and inf at P = inf.
+    Here they are differences of log psi and log |psi'|, inf or NaN where
+    those underflow.  Every method reads the attributes at call time, so a
+    wrapper set on them sees every call.
     """
 
     max_dimension = 16
@@ -114,131 +117,155 @@ class ArchimedeanGenerator:
         return f"ArchimedeanGenerator({self.name}{', ' + pars if pars else ''})"
 
 
+class _ClosedForm(ArchimedeanGenerator):
+    """A builtin family: psi, psi' and phi from its ``_log_psi``, ``_log_lam``
+    and ``_rho``, and the kernel's pieces free of cancellation.  A family
+    with a parameter takes theta in (0, ``_theta_max``], as ``_bound`` says."""
+
+    _theta_max = sys.float_info.max
+    _bound = "a finite theta > 0"
+
+    def __init__(self, theta: float | None = None):
+        self.params = {} if theta is None else {"theta": theta}
+        self._th = theta
+        self._log_th = None if theta is None else math.log(theta)
+
+    def psi(self, x):
+        with np.errstate(over="ignore"):
+            return np.exp(self._log_psi(np.asarray(x, dtype=float)))
+
+    def psi_prime(self, x):
+        # at x = inf the exponent may be inf - inf; the limit is -0
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(x == math.inf, -0.0, -np.exp(self._log_psi(x) + self._log_lam(x)))
+
+    def phi(self, u):
+        with np.errstate(divide="ignore"):
+            return self._rho(-np.log(np.asarray(u, dtype=float)))
+
+    def key(self):
+        """A builtin is known by its name and params."""
+        return (self.name, tuple(sorted(self.params.items())))
+
+
+class _Independence(_ClosedForm):
+    """psi(x) = e^-x, no parameter, at any dimension."""
+
+    name = "independence"
+    max_dimension = 10**9
+
+    def _log_psi(self, x):
+        return -x
+
+    def _rho(self, s):
+        return np.asarray(s, dtype=float)
+
+    def _log_lam(self, t):
+        return np.zeros_like(t)
+
+    def _D_gap(self, E, P):
+        return P, P
+
+
 # 1/k! for k = 13 down to 2: below x = 1/4 the Taylor series of
 # expm1(x) - x = x^2 sum_k x^(k-2)/k! is exact to a unit roundoff there
 _EXPM1_SERIES = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
 
 
+class _ExpTilt(_ClosedForm):
+    """psi(x) = exp((1 - e^x)/theta), 0 < theta <= 1."""
+
+    name = "exp_tilt"
+    _theta_max = 1.0
+    _bound = "0 < theta <= 1"
+
+    def _log_psi(self, x):
+        return -np.expm1(x) / self._th
+
+    def _rho(self, s):
+        return np.log1p(self._th * s)
+
+    def _log_lam(self, t):
+        return t - self._log_th
+
+    def _D_gap(self, E, P):
+        em1 = np.expm1(P)
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = np.exp(E - self._log_th) * em1
+            gap = np.where(P == math.inf, math.inf, D - P)
+        # D - P cancels where D < 2P; there, as theta <= 1, it is the sum
+        # of expm1(E - log theta) expm1(P) >= 0 and expm1(P) - P
+        near = D < 2.0 * P
+        E, P, em1 = E[near], P[near], em1[near]
+        gap[near] = np.expm1(E - self._log_th) * em1 + np.where(
+            P < 0.25, P * P * np.polyval(_EXPM1_SERIES, P), em1 - P)
+        return D, gap
+
+
+class _PowerTilt(_ClosedForm):
+    """psi(x) = exp(1 - (1+x)^theta), theta > 0."""
+
+    name = "power_tilt"
+
+    def _log_psi(self, x):
+        return 1.0 - np.power(1.0 + x, self._th)
+
+    def _rho(self, s):
+        return np.expm1(np.log1p(s) / self._th)
+
+    def _log_lam(self, t):
+        return (self._th - 1.0) * np.log1p(t) + self._log_th
+
+    def _D_gap(self, E, P):
+        th = self._th
+        ell = np.log1p(P / (1.0 + E))
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = np.exp(th * np.log1p(E)) * np.expm1(th * ell)
+            # D >= theta ell, so the gap keeps at least 1/theta of D
+            return D, np.where(P == math.inf, math.inf, D - (th - 1.0) * ell)
+
+
+class _Clayton(_ClosedForm):
+    """psi(x) = (1+x)^(-1/theta), theta > 0."""
+
+    name = "clayton"
+
+    def _log_psi(self, x):
+        return -np.log1p(x) / self._th
+
+    def _rho(self, s):
+        with np.errstate(over="ignore"):
+            return np.expm1(self._th * s)
+
+    def _log_lam(self, t):
+        return -np.log1p(t) - self._log_th
+
+    def _D_gap(self, E, P):
+        D = np.log1p(P / (1.0 + E)) / self._th
+        return D, (1.0 + self._th) * D
+
+
+_FAMILIES = (_Independence, _ExpTilt, _PowerTilt, _Clayton)
+
+
 def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGenerator:
-    """Construct one of the shipped generators.
-
-    independence        psi(x) = exp(-x), no parameter
-    exp_tilt            psi(x) = exp((1 - e^x)/theta), 0 < theta <= 1
-    power_tilt          psi(x) = exp(1 - (1+x)^theta), theta > 0
-    clayton             psi(x) = (1+x)^(-1/theta), theta > 0
-
-    Independence admits any dimension; the others keep the class's
-    ``max_dimension`` of 16.  Each is log psi and the kernel's pieces, free of
-    cancellation: rho(s) = phi(e^-s), log lam with lam = -psi'/psi, and for
-    E, P >= 0, D = log psi(E) - log psi(E+P) and gap = log |psi'(E)| -
-    log |psi'(E+P)|, both >= 0 and inf at P = inf.
-    """
-    if name not in ("independence", "exp_tilt", "power_tilt", "clayton"):
+    """One of the shipped generators, by the ``name`` of its family class:
+    independence, which takes no theta, exp_tilt, power_tilt or clayton."""
+    family = next((f for f in _FAMILIES if f.name == name), None)
+    if family is None:
         raise ValueError(f"unknown generator {name!r}")
-    if name == "independence":
+    if family is _Independence:
         if theta is not None:
             raise ValueError("independence generator takes no parameter")
-        params = {}
-
-        def log_psi(x):
-            return -x
-
-        def rho(s):
-            return np.asarray(s, dtype=float)
-
-        def log_lam(t):
-            return np.zeros_like(t)
-
-        def D_gap(E, P):
-            return P, P
-
-    else:
-        if theta is None:
-            raise ValueError(f"generator {name!r} needs a theta parameter")
-        th = float(theta)
-        # written so that NaN fails
-        if not (0.0 < th <= 1.0 if name == "exp_tilt" else th > 0.0):
-            bound = "0 < theta <= 1" if name == "exp_tilt" else "theta > 0"
-            raise ValueError(f"{name} needs {bound}, got {th}")
-        params, log_th = {"theta": th}, math.log(th)
-
-    if name == "exp_tilt":
-        def log_psi(x):
-            return -np.expm1(x) / th
-
-        def rho(s):
-            return np.log1p(th * s)
-
-        def log_lam(t):
-            return t - log_th
-
-        def D_gap(E, P):
-            em1 = np.expm1(P)
-            with np.errstate(over="ignore", invalid="ignore"):
-                D = np.exp(E - log_th) * em1
-                gap = np.where(P == math.inf, math.inf, D - P)
-            # D - P cancels where D < 2P; there, as theta <= 1, it is the sum
-            # of expm1(E - log theta) expm1(P) >= 0 and expm1(P) - P
-            near = D < 2.0 * P
-            E, P, em1 = E[near], P[near], em1[near]
-            gap[near] = np.expm1(E - log_th) * em1 + np.where(
-                P < 0.25, P * P * np.polyval(_EXPM1_SERIES, P), em1 - P)
-            return D, gap
-
-    elif name == "power_tilt":
-        def log_psi(x):
-            return 1.0 - np.power(1.0 + x, th)
-
-        def rho(s):
-            return np.expm1(np.log1p(s) / th)
-
-        def log_lam(t):
-            return (th - 1.0) * np.log1p(t) + log_th
-
-        def D_gap(E, P):
-            ell = np.log1p(P / (1.0 + E))
-            with np.errstate(over="ignore", invalid="ignore"):
-                D = np.exp(th * np.log1p(E)) * np.expm1(th * ell)
-                # D >= theta ell, so the gap keeps at least 1/theta of D
-                return D, np.where(P == math.inf, math.inf, D - (th - 1.0) * ell)
-
-    elif name == "clayton":
-        def log_psi(x):
-            return -np.log1p(x) / th
-
-        def rho(s):
-            with np.errstate(over="ignore"):
-                return np.expm1(th * s)
-
-        def log_lam(t):
-            return -np.log1p(t) - log_th
-
-        def D_gap(E, P):
-            D = np.log1p(P / (1.0 + E)) / th
-            return D, (1.0 + th) * D
-
-    def psi(x):
-        with np.errstate(over="ignore"):
-            return np.exp(log_psi(np.asarray(x, dtype=float)))
-
-    def psi_prime(x):
-        # at x = inf the exponent may be inf - inf; the limit is -0
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(x == math.inf, -0.0, -np.exp(log_psi(x) + log_lam(x)))
-
-    def phi(u):
-        with np.errstate(divide="ignore"):
-            return rho(-np.log(np.asarray(u, dtype=float)))
-
-    g = ArchimedeanGenerator(name, psi=psi)
-    g.params, g.phi, g.psi_prime = params, phi, psi_prime
-    # each call builds a new psi, so a builtin is known by its name and params
-    g.key = lambda: (name, tuple(sorted(params.items())))
-    g._rho, g._log_lam, g._D_gap = rho, log_lam, D_gap
-    if name == "independence":
-        g.max_dimension = 10**9
-    return g
+        return family()
+    if theta is None:
+        raise ValueError(f"generator {name!r} needs a theta parameter")
+    th = float(theta)
+    # written so that NaN and inf fail
+    if not 0.0 < th <= family._theta_max:
+        raise ValueError(f"{name} needs {family._bound}, got {th}")
+    return family(th)
 
 
 def check_log_concavity(g: ArchimedeanGenerator):

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .copula import PHI_CLAMP_U, ArchimedeanGenerator, builtin_generator
-from .marginals import Exponential, MphrMarginal, Weibull, _tilt, mphr_sf
+from .marginals import Exponential, MphrMarginal, Weibull, _tilt
 
 __all__ = [
     "DependentSampleSpec",
@@ -388,9 +388,9 @@ def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.nda
 
     Every subset's joint survival is a direct copula evaluation over the
     subset's marginal survivals; the exact-count probabilities follow by
-    Moebius inversion, aggregated by subset size.  Costs one phi call on the
-    n marginal survivals and one psi call on the 2^n subset sums, so n is
-    capped at 20.
+    Moebius inversion, aggregated by subset size.  Costs one row of marginal
+    terms, one phi call on the n marginal survivals exp(-S) and one psi call
+    on the 2^n subset sums, so n is capped at 20.
     """
     n = spec.n
     if n > 20:
@@ -401,10 +401,8 @@ def exceedance_count_distribution(spec: DependentSampleSpec, x: float) -> np.nda
     if x < 0.0:
         raise ValueError("time must be nonnegative")
     g = spec.generator
-    G = np.array([float(mphr_sf(m, x)) for m in spec.marginals])
-    if not np.all((G >= 0.0) & (G <= 1.0 + 1e-12)):
-        raise ValueError("copula coordinates must lie in [0, 1]")
-    G = np.minimum(G, 1.0)
+    # S >= 0, so every coordinate lies in [0, 1]
+    G = np.exp(-_marginal_terms(spec.marginals, np.array([x]))[0][:, 0])
     # a subset holding a coordinate at or below the underflow clamp has joint
     # survival exactly 0: an infinite phi makes its sum non-finite
     clamped = G <= PHI_CLAMP_U

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .copula import check_log_concavity
+from .copula import _Independence, check_log_concavity
 from .majorization import (
     cone_membership,
     majorize_check,
@@ -338,8 +338,8 @@ def validate_theorem(sc: Scenario) -> HypothesisReport:
 
         else:  # thm2 and thm3 share a hazard scalar and tilts in a common cone
             if tag == "thm3":
-                conds.append(ConditionCheck("independent_sample",
-                                            sc.side_x.generator.name == "independence"))
+                conds.append(ConditionCheck(
+                    "independent_sample", isinstance(sc.side_x.generator, _Independence)))
             conds.append(ConditionCheck("common_hazard_scalar",
                                         len(set(lams_x) | set(lams_y)) == 1))
             alphas = np.concatenate((alphas_x, alphas_y))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 import ordstat.orderstats
 import ordstat.stochorder
 from ordstat import cli
-from ordstat.copula import survival_copula_eval
+from ordstat.copula import ArchimedeanGenerator, survival_copula_eval
 from ordstat.marginals import mphr_sf
 from ordstat.scenarios import ScenarioError, builtin_example, example_scenario_document
 from ordstat.stochorder import DominanceReport, validate_theorem
@@ -547,6 +548,24 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         r = run_cli("simulate", path, "--replications", "1000")
         assert r.returncode == 2
+
+    def test_custom_psi_named_independence_rejected(self, tmp_path, monkeypatch, capsys):
+        # a scenario file names only builtins, but through the Python API a
+        # custom psi can carry the name; simulate knows independence by class
+        custom = ArchimedeanGenerator("independence", psi=lambda x: (1.0 + x) ** -0.5)
+        load = cli.load_scenario_file
+
+        def load_custom(*args):
+            sc, output = load(*args)
+            side = ordstat.orderstats.DependentSampleSpec(sc.side_x.marginals, custom)
+            return dataclasses.replace(sc, side_x=side, side_y=side), output
+
+        monkeypatch.setattr(cli, "load_scenario_file", load_custom)
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(small_grid(example_scenario_document(3))))
+        assert cli.main(["simulate", str(path), "--replications", "1000",
+                         "--out-dir", str(tmp_path)]) == 2
+        assert "needs an independent x_side" in capsys.readouterr().err
 
 
 class TestSvg:

@@ -69,6 +69,19 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin_generator("independence", 2.0)
 
+    @pytest.mark.parametrize("name", ["power_tilt", "clayton"])
+    def test_infinite_theta_rejected(self, name):
+        # clayton(inf) gave survival 0 at x = 0 and NaN hazards, power_tilt(inf)
+        # NaN survivals
+        with pytest.raises(ValueError, match=f"{name} needs a finite theta > 0, got inf"):
+            builtin_generator(name, math.inf)
+
+    @pytest.mark.parametrize("gen", ALL_BUILTINS, ids=lambda g: g.name)
+    def test_builtin_holds_no_callable_on_the_instance(self, gen):
+        # each family is a class: nothing is built or patched per call
+        assert not [k for k, v in vars(gen).items() if callable(v)]
+        assert builtin_generator(gen.name, gen.params.get("theta")).key() == gen.key()
+
     def test_analytic_psi_prime_matches_differences(self):
         for gen in ALL_BUILTINS:
             xs = np.linspace(0.05, float(gen.phi(1e-3)), 40)

@@ -33,6 +33,7 @@ from ordstat.copula import survival_copula_eval
 from ordstat.marginals import mphr_hazard
 from ordstat.orderstats import (
     _curves,
+    _marginal_terms,
     multiple_outlier_hazard_in_x,
     second_order_hazard_dependent,
 )
@@ -750,9 +751,10 @@ class TestMultipleOutlier:
 
 
 def counts_by_subsets(spec, x):
-    """The reference oracle: one survival_copula_eval per subset mask."""
+    """The reference oracle: one survival_copula_eval per subset mask, over
+    the marginal survivals exp(-S) of one row, as the oracle takes them."""
     n = spec.n
-    G = [float(mphr_sf(m, x)) for m in spec.marginals]
+    G = np.exp(-_marginal_terms(spec.marginals, np.array([x]))[0][:, 0]).tolist()
     level_sums = np.zeros(n + 1)
     for mask in range(1 << n):
         members = [G[j] for j in range(n) if mask >> j & 1]

@@ -281,6 +281,16 @@ class TestValidators:
         rep = validate_theorem(sc)
         assert "independent_sample" in failed(rep)
 
+    def test_custom_psi_named_independence_is_not_independent(self):
+        # independence is known by the generator's class, not by a name that
+        # a custom psi can carry
+        gen = ArchimedeanGenerator("independence", psi=lambda x: (1.0 + x) ** -0.5)
+        base = Exponential(1.0)
+        mk = lambda alphas: DependentSampleSpec(
+            tuple(MphrMarginal(a, 0.5, base) for a in alphas), gen)
+        sc = Scenario(mk([0.25, 0.5]), mk([0.4, 0.4]), GRID, theorem="thm3")
+        assert "independent_sample" in failed(validate_theorem(sc))
+
     @pytest.mark.parametrize("shared", [False, True], ids=["two_psis", "one_psi"])
     def test_custom_generators_are_shared_by_their_psi(self, shared):
         def clayton_psi(theta):
