@@ -177,7 +177,7 @@ def _run_comparison(scenario: Scenario, out_dir: Path, output: dict | None = Non
     checks = _run_checks(scenario)
 
     exit_code = 0
-    if scenario.theorem != "none" and not hyp.ok:
+    if not hyp.ok:
         exit_code = 2
     elif not checks[PRIMARY_CHECK[scenario.theorem]].holds:
         exit_code = 3
@@ -206,9 +206,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     if not 2 <= args.n <= 10:
-        raise ScenarioError("--n must lie in [2, 10]")
+        raise ValueError(f"--n must lie in [2, 10], got {args.n}")
     if args.trials < 1:
-        raise ScenarioError("--trials must be at least 1")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     worst = oracle_identity_max_deviation(max_n=args.n, trials=args.trials,
                                           seed=args.seed)
     ok = worst <= ORACLE_TOLERANCE
@@ -219,6 +221,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     scenario, output = load_scenario_file(args.scenario, _grid_override(args))
     side = scenario.side_x
     if not (isinstance(side, DependentSampleSpec)

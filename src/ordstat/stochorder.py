@@ -1,10 +1,13 @@
 """Grid-based stochastic-order verdicts and theorem-hypothesis validation.
 
 A comparison is certified on a finite evaluation grid only; every report
-carries the worst margin and where it occurred.  A scenario evaluates its
-curves once, on its grid, and the checks compare those arrays.  The
-hazard-rate verdict runs two routes (pointwise hazards, survival-ratio
-monotonicity) and flags disagreement as numerical instability.
+carries the worst margin and where it occurred, both taken by one rule.  A
+scenario evaluates its curves once, on its grid, and the checks compare
+those arrays.  The hazard-rate verdict runs two routes (pointwise hazards,
+survival-ratio monotonicity) and flags disagreement as numerical
+instability.  A theorem's hypotheses are graded in their stated order, each
+by one rule that records it; a failed gate on the sides' structure ends the
+grading.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .copula import _Independence, check_log_concavity
 from .majorization import (
+    OrderVerdict,
     cone_membership,
     majorize_check,
     st_order_discrete,
@@ -113,19 +117,20 @@ def _curve(values, xs: np.ndarray) -> np.ndarray:
     return values
 
 
+def _worst(margins: np.ndarray, xs: np.ndarray, tol: float) -> tuple[bool, float, float]:
+    """(holds, least margin, its x): the least margin must reach -tol.  A NaN
+    margin is the minimum argmin finds, and fails."""
+    i = int(np.argmin(margins))
+    # + 0.0: the origin is x = -log(1) = -0.0
+    return bool(margins[i] >= -tol), float(margins[i]), float(xs[i]) + 0.0
+
+
 def check_st(fx, fy, grid: Grid) -> DominanceReport:
     """X above Y in the usual stochastic order: survivals fx >= fy over grid.x."""
     xs = grid.x
     fx, fy = _curve(fx, xs), _curve(fy, xs)
-    margins = fx - fy
-    i = int(np.argmin(margins))
-    return DominanceReport(
-        holds=bool(margins[i] >= -_ST_TOL),
-        min_margin=float(margins[i]),
-        # + 0.0: the origin is x = -log(1) = -0.0
-        witness_x=float(xs[i]) + 0.0,
-        curves={"x": xs, "X": fx, "Y": fy},
-    )
+    holds, margin, x = _worst(fx - fy, xs, _ST_TOL)
+    return DominanceReport(holds, margin, x, curves={"x": xs, "X": fx, "Y": fy})
 
 
 def check_hr(hx, hy, fx, fy, grid: Grid) -> DominanceReport:
@@ -142,10 +147,8 @@ def check_hr(hx, hy, fx, fy, grid: Grid) -> DominanceReport:
     pos = grid.u < 1.0
     fx, fy = _curve(fx, grid.u)[pos], _curve(fy, grid.u)[pos]
     live = (fx > 0.0) & (fy > 0.0)
-    # a NaN margin at a live point is the minimum argmin finds, and fails
     margins = np.subtract(hy, hx, out=np.full(xs.size, np.inf), where=live)
-    i = int(np.argmin(margins))
-    hazard_ok = bool(margins[i] >= -_HR_TOL)
+    hazard_ok, margin, x = _worst(margins, xs, _HR_TOL)
 
     # x descends on a Grid, so the reversed views ascend in x
     fx, fy = fx[::-1], fy[::-1]
@@ -157,15 +160,14 @@ def check_hr(hx, hy, fx, fy, grid: Grid) -> DominanceReport:
     steps = np.diff(ratio)
     # slack is per step, relative to the local ratio size (floored at 1 so
     # order-one ratios see the plain absolute tolerance)
-    scale = np.maximum(1.0, np.maximum(np.abs(ratio[:-1]), np.abs(ratio[1:]))) \
-        if steps.size else np.ones(0)
+    scale = np.maximum(1.0, np.maximum(ratio[:-1], ratio[1:]))
     ratio_margin = float(np.min(steps / scale)) if steps.size else 0.0
     ratio_ok = ratio_margin >= -_HR_RATIO_TOL
 
     return DominanceReport(
         holds=hazard_ok and ratio_ok,
-        min_margin=float(margins[i]),
-        witness_x=float(xs[i]),
+        min_margin=margin,
+        witness_x=x,
         curves={"x": xs, "X": hx, "Y": hy},
         ratio_margin=ratio_margin,
         ratio_holds=ratio_ok,
@@ -187,14 +189,9 @@ def check_rh(fx, fy, grid: Grid) -> DominanceReport:
     xs, fx, fy = xs[keep], fx[keep], fy[keep]
     if xs.size < 2:
         raise ValueError("fewer than two usable grid points for the rh ratio")
-    steps = np.diff(fy / fx)
-    i = int(np.argmin(steps))
-    return DominanceReport(
-        holds=bool(steps[i] >= -_RH_TOL),
-        min_margin=float(steps[i]),
-        witness_x=float(xs[i + 1]),
-        curves={"x": xs, "X": fx, "Y": fy},
-    )
+    # a step is reported at its right end
+    holds, margin, x = _worst(np.diff(fy / fx), xs[1:], _RH_TOL)
+    return DominanceReport(holds, margin, x, curves={"x": xs, "X": fx, "Y": fy})
 
 
 Side = Union[DependentSampleSpec, MultipleOutlierSpec]
@@ -271,128 +268,92 @@ def _common_cone(u, v) -> tuple[bool, str]:
     return False, f"{cu} vs {cv}"
 
 
-def _law_order_condition(sc: Scenario) -> ConditionCheck:
-    if sc.law_x is None and sc.law_y is None:
-        return ConditionCheck("sample_size_st_order", True, "fixed sample sizes")
-    # a fixed size n is the law that puts all its mass on n
-    fixed = SampleSizeLaw([0.0] * (sc.side_x.n - 1) + [1.0])
-    lx = sc.law_x or fixed
-    ly = sc.law_y or fixed
-    v = st_order_discrete(lx, ly)
-    return ConditionCheck("sample_size_st_order", v.holds, f"worst margin {v.margin:.3e}")
-
-
-def _structural_dependent(sc: Scenario, conds: list[ConditionCheck]) -> bool:
-    ok = isinstance(sc.side_x, DependentSampleSpec) and isinstance(sc.side_y, DependentSampleSpec)
-    conds.append(ConditionCheck("sides_are_marginal_lists", ok))
-    if not ok:
-        return False
-    sx, sy = sc.side_x, sc.side_y
-    conds.append(ConditionCheck("equal_sample_sizes", sx.n == sy.n))
-    bases = {m.baseline for m in sx.marginals} | {m.baseline for m in sy.marginals}
-    conds.append(ConditionCheck("shared_baseline", len(bases) == 1))
-    conds.append(ConditionCheck("shared_generator", sx.generator.key() == sy.generator.key()))
-    return sx.n == sy.n
-
-
-def _log_concavity_condition(sc: Scenario) -> ConditionCheck:
-    ok, margin = check_log_concavity(sc.side_x.generator)
-    return ConditionCheck("generator_log_concave", ok, f"worst margin {margin:.3e}")
+def _margin(v: OrderVerdict) -> str:
+    return f"worst margin {v.margin:.3e}"
 
 
 def validate_theorem(sc: Scenario) -> HypothesisReport:
     """Check exactly the stated hypotheses of the tagged comparison theorem.
 
-    Failures do not stop the report; every condition is graded.  A common
-    cone is required for the two parameter vectors (the membership detail
-    records which one was used).
+    A failed condition does not stop the report, with three exceptions, the
+    gates: when ``sides_are_marginal_lists`` or ``sides_are_two_block``
+    fails, nothing more is graded, and when ``equal_sample_sizes`` fails,
+    only the shared baseline and generator are.  A common cone is required
+    for the two parameter vectors (the membership detail records which one
+    was used).  An untagged scenario has no conditions.
     """
     conds: list[ConditionCheck] = []
-    tag = sc.theorem
 
-    if tag == "none":
-        return HypothesisReport(())
+    def grade(name: str, passed: bool, detail: str = "") -> bool:
+        conds.append(ConditionCheck(name, passed, detail))
+        return passed
 
-    if tag in ("thm1", "thm2", "thm3"):
-        if not _structural_dependent(sc, conds):
-            return HypothesisReport(tuple(conds))
-        sx, sy = sc.side_x, sc.side_y
-        alphas_x = np.array([m.alpha for m in sx.marginals])
-        alphas_y = np.array([m.alpha for m in sy.marginals])
-        lams_x = np.array([m.lam for m in sx.marginals])
-        lams_y = np.array([m.lam for m in sy.marginals])
-
-        if tag == "thm1":
-            same_alpha = len(set(alphas_x) | set(alphas_y)) == 1
-            a = float(alphas_x[0])
-            conds.append(ConditionCheck("common_tilt_scalar", same_alpha))
-            conds.append(ConditionCheck("tilt_in_unit_interval", same_alpha and 0.0 < a <= 1.0,
-                                        f"alpha={a:g}"))
-            ok, which = _common_cone(lams_x, lams_y)
-            conds.append(ConditionCheck("hazard_vectors_in_common_cone", ok, which))
-            v = weak_supermajorize_check(lams_x, lams_y)
-            conds.append(ConditionCheck("weak_supermajorization", v.holds,
-                                        f"worst margin {v.margin:.3e}"))
-            conds.append(_law_order_condition(sc))
-            conds.append(_log_concavity_condition(sc))
-
-        else:  # thm2 and thm3 share a hazard scalar and tilts in a common cone
+    tag, sx, sy = sc.theorem, sc.side_x, sc.side_y
+    if tag in ("thm1", "thm2", "thm3") and grade(
+            "sides_are_marginal_lists",
+            isinstance(sx, DependentSampleSpec) and isinstance(sy, DependentSampleSpec)):
+        same_n = grade("equal_sample_sizes", sx.n == sy.n)
+        bases = {m.baseline for m in sx.marginals} | {m.baseline for m in sy.marginals}
+        grade("shared_baseline", len(bases) == 1)
+        grade("shared_generator", sx.generator.key() == sy.generator.key())
+        if same_n:
+            alphas_x = np.array([m.alpha for m in sx.marginals])
+            alphas_y = np.array([m.alpha for m in sy.marginals])
+            lams_x = np.array([m.lam for m in sx.marginals])
+            lams_y = np.array([m.lam for m in sy.marginals])
+            if tag == "thm1":
+                same_alpha = len(set(alphas_x) | set(alphas_y)) == 1
+                a = float(alphas_x[0])
+                grade("common_tilt_scalar", same_alpha)
+                grade("tilt_in_unit_interval", same_alpha and 0.0 < a <= 1.0, f"alpha={a:g}")
+                grade("hazard_vectors_in_common_cone", *_common_cone(lams_x, lams_y))
+                v = weak_supermajorize_check(lams_x, lams_y)
+                grade("weak_supermajorization", v.holds, _margin(v))
+            else:  # thm2 and thm3 share a hazard scalar and tilts in a common cone
+                if tag == "thm3":
+                    grade("independent_sample", isinstance(sx.generator, _Independence))
+                grade("common_hazard_scalar", len(set(lams_x) | set(lams_y)) == 1)
+                alphas = np.concatenate((alphas_x, alphas_y))
+                grade("tilts_in_unit_interval", bool(np.all((alphas > 0) & (alphas <= 1.0))))
+                grade("tilt_vectors_in_common_cone", *_common_cone(alphas_x, alphas_y))
+                if tag == "thm2":
+                    v = weak_supermajorize_check(1.0 / alphas_x, 1.0 / alphas_y)
+                    grade("reciprocal_weak_supermajorization", v.holds, _margin(v))
+                else:
+                    v = majorize_check(1.0 / alphas_x, 1.0 / alphas_y)
+                    grade("reciprocal_majorization", v.holds, _margin(v))
             if tag == "thm3":
-                conds.append(ConditionCheck(
-                    "independent_sample", isinstance(sc.side_x.generator, _Independence)))
-            conds.append(ConditionCheck("common_hazard_scalar",
-                                        len(set(lams_x) | set(lams_y)) == 1))
-            alphas = np.concatenate((alphas_x, alphas_y))
-            conds.append(ConditionCheck("tilts_in_unit_interval",
-                                        bool(np.all((alphas > 0) & (alphas <= 1.0)))))
-            conds.append(ConditionCheck("tilt_vectors_in_common_cone",
-                                        *_common_cone(alphas_x, alphas_y)))
-            if tag == "thm2":
-                v = weak_supermajorize_check(1.0 / alphas_x, 1.0 / alphas_y)
-                conds.append(ConditionCheck("reciprocal_weak_supermajorization", v.holds,
-                                            f"worst margin {v.margin:.3e}"))
-                conds.append(_law_order_condition(sc))
-                conds.append(_log_concavity_condition(sc))
-            else:
-                v = majorize_check(1.0 / alphas_x, 1.0 / alphas_y)
-                conds.append(ConditionCheck("reciprocal_majorization", v.holds,
-                                            f"worst margin {v.margin:.3e}"))
                 # the hr conclusion needs hazards, which a law side lacks
-                conds.append(ConditionCheck("fixed_sample_sizes",
-                                            sc.law_x is None and sc.law_y is None))
+                grade("fixed_sample_sizes", sc.law_x is None and sc.law_y is None)
+            else:
+                if sc.law_x is None and sc.law_y is None:
+                    grade("sample_size_st_order", True, "fixed sample sizes")
+                else:
+                    # a fixed size n is the law that puts all its mass on n
+                    fixed = SampleSizeLaw([0.0] * (sx.n - 1) + [1.0])
+                    v = st_order_discrete(sc.law_x or fixed, sc.law_y or fixed)
+                    grade("sample_size_st_order", v.holds, _margin(v))
+                v = OrderVerdict(*check_log_concavity(sx.generator))
+                grade("generator_log_concave", v.holds, _margin(v))
 
-        return HypothesisReport(tuple(conds))
-
-    # two-block theorems
-    ok = isinstance(sc.side_x, MultipleOutlierSpec) and isinstance(sc.side_y, MultipleOutlierSpec)
-    conds.append(ConditionCheck("sides_are_two_block", ok))
-    if not ok:
-        return HypothesisReport(tuple(conds))
-    sx, sy = sc.side_x, sc.side_y
-    conds.append(ConditionCheck("shared_baseline", sx.baseline == sy.baseline))
-    conds.append(ConditionCheck("common_tilt_scalar", sx.alpha == sy.alpha))
-    conds.append(ConditionCheck("tilt_in_unit_interval", 0.0 < sx.alpha <= 1.0,
-                                f"alpha={sx.alpha:g}"))
-
-    if tag == "thm4":
-        conds.append(ConditionCheck("equal_block_sizes", (sx.p, sx.q) == (sy.p, sy.q)))
-        conds.append(ConditionCheck("common_main_parameter",
-                                    sx.lambda_main == sy.lambda_main))
-        chain = sx.lambda_main >= sy.lambda_out >= sx.lambda_out > 0.0
-        conds.append(ConditionCheck(
-            "parameter_chain", chain,
-            f"main {sx.lambda_main:g} >= outlier_Y {sy.lambda_out:g} "
-            f">= outlier_X {sx.lambda_out:g}"))
-    else:  # thm5
-        conds.append(ConditionCheck("common_block_parameters",
-                                    sx.lambda_out == sy.lambda_out
-                                    and sx.lambda_main == sy.lambda_main))
-        conds.append(ConditionCheck("block_parameters_ordered",
-                                    sx.lambda_out <= sx.lambda_main))
-        nested = sy.p <= sx.p <= sx.q <= sy.q
-        conds.append(ConditionCheck("block_sizes_nested", nested,
-                                    f"{sy.p} <= {sx.p} <= {sx.q} <= {sy.q}"))
-        v = weak_submajorize_check([float(sy.p), float(sy.q)], [float(sx.p), float(sx.q)])
-        conds.append(ConditionCheck("size_pair_weak_submajorization", v.holds,
-                                    f"worst margin {v.margin:.3e}"))
+    elif tag in ("thm4", "thm5") and grade(
+            "sides_are_two_block",
+            isinstance(sx, MultipleOutlierSpec) and isinstance(sy, MultipleOutlierSpec)):
+        grade("shared_baseline", sx.baseline == sy.baseline)
+        grade("common_tilt_scalar", sx.alpha == sy.alpha)
+        grade("tilt_in_unit_interval", 0.0 < sx.alpha <= 1.0, f"alpha={sx.alpha:g}")
+        if tag == "thm4":
+            grade("equal_block_sizes", (sx.p, sx.q) == (sy.p, sy.q))
+            grade("common_main_parameter", sx.lambda_main == sy.lambda_main)
+            grade("parameter_chain", sx.lambda_main >= sy.lambda_out >= sx.lambda_out > 0.0,
+                  f"main {sx.lambda_main:g} >= outlier_Y {sy.lambda_out:g} "
+                  f">= outlier_X {sx.lambda_out:g}")
+        else:
+            grade("common_block_parameters",
+                  sx.lambda_out == sy.lambda_out and sx.lambda_main == sy.lambda_main)
+            grade("block_parameters_ordered", sx.lambda_out <= sx.lambda_main)
+            grade("block_sizes_nested", sy.p <= sx.p <= sx.q <= sy.q,
+                  f"{sy.p} <= {sx.p} <= {sx.q} <= {sy.q}")
+            v = weak_submajorize_check([float(sy.p), float(sy.q)], [float(sx.p), float(sx.q)])
+            grade("size_pair_weak_submajorization", v.holds, _margin(v))
     return HypothesisReport(tuple(conds))

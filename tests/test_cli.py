@@ -501,15 +501,16 @@ class TestOracleCheck:
     def test_n_limit(self):
         r = run_cli("oracle-check", "--n", "15", "--trials", "1")
         assert r.returncode == 64
+        assert r.stderr.startswith("configuration error: --n must lie in [2, 10]")
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_must_be_positive(self, capsys, trials):
         assert cli.main(["oracle-check", "--trials", trials]) == 64
-        assert "--trials" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("configuration error: --trials ")
 
     def test_negative_seed_is_a_configuration_error(self, capsys):
         assert cli.main(["oracle-check", "--seed", "-1", "--trials", "1"]) == 64
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert capsys.readouterr().err.startswith("configuration error: --seed ")
 
     def test_grid_and_output_options_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -541,6 +542,13 @@ class TestSimulate:
         assert cli.main(["simulate", str(path), "--replications", "20000", "--seed", "5",
                          "--out-dir", str(tmp_path)]) == 0, capsys.readouterr().err
         assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_negative_seed_rejected_before_the_scenario_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["simulate", str(missing), "--seed", "-1",
+                         "--out-dir", str(tmp_path)]) == 64
+        assert capsys.readouterr().err.startswith("configuration error: --seed ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_coupled_scenario_rejected(self, tmp_path):
         doc = small_grid(example_scenario_document(1))

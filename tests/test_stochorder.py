@@ -95,6 +95,16 @@ class TestCheckSt:
         assert not rep.holds
         assert rep.min_margin < -1e-6
 
+    def test_witness_is_the_x_of_a_planted_crossing(self):
+        fy = exp_sf(1.0)
+        fx = fy.copy()
+        fx[37] -= 1e-3
+        fx[120] -= 2e-3  # the deeper of two planted crossings
+        rep = check_st(fx, fy, GRID)
+        assert not rep.holds
+        assert rep.min_margin == pytest.approx(-2e-3, rel=1e-9)
+        assert rep.witness_x == GRID.x[120]
+
     def test_second_example_scenario_holds(self):
         sc = builtin_example(2)
         sfx, sfy = scenario_survival_functions(sc)
@@ -199,6 +209,23 @@ class TestCheckRh:
         rep_rev = check_rh(exp_cdf(1.0), exp_cdf(2.0), GRID)
         assert not rep_rev.holds
 
+    def test_witness_is_the_right_end_of_the_least_step(self):
+        fx = exp_cdf(1.0)
+        fy = fx.copy()
+        fy[50] *= 0.5  # the ratio fy / fx steps down to 0.5 at GRID.x[50]
+        rep = check_rh(fx, fy, GRID)
+        assert not rep.holds
+        assert rep.min_margin == -0.5
+        # x descends on a Grid: the step's left end is GRID.x[51]
+        assert rep.witness_x == GRID.x[50]
+
+    @pytest.mark.parametrize("usable", [0, 1])
+    def test_fewer_than_two_usable_points_rejected(self, usable):
+        cdf = np.zeros(GRID.u.size)
+        cdf[:usable] = 0.5
+        with pytest.raises(ValueError, match="fewer than two usable grid points"):
+            check_rh(cdf, cdf, GRID)
+
     def test_found_nonmonotone_ratio_pair_fails_both_ways(self):
         # brute-force search over shape pairs for a crossing ratio
         found = None
@@ -222,6 +249,42 @@ class TestCheckRh:
         assert not check_rh(cdf2, cdf1, GRID).holds
 
 
+def thm4_example():
+    base = Exponential(1.0)
+    return Scenario(MultipleOutlierSpec(0.5, 0.4, 1.0, 2, 2, base),
+                    MultipleOutlierSpec(0.5, 0.9, 1.0, 2, 2, base), GRID, theorem="thm4")
+
+
+def marginal_side(n):
+    base = Exponential(1.0)
+    return DependentSampleSpec(tuple(MphrMarginal(0.5, 0.5, base) for _ in range(n)),
+                               builtin_generator("independence"))
+
+
+MARGINAL_GATES = ["sides_are_marginal_lists", "equal_sample_sizes", "shared_baseline",
+                  "shared_generator"]
+TWO_BLOCK_GATES = ["sides_are_two_block", "shared_baseline", "common_tilt_scalar",
+                   "tilt_in_unit_interval"]
+
+# each theorem's hypotheses, in the order the report lists them
+STATED_CONDITIONS = {
+    "thm1": MARGINAL_GATES + ["common_tilt_scalar", "tilt_in_unit_interval",
+                              "hazard_vectors_in_common_cone", "weak_supermajorization",
+                              "sample_size_st_order", "generator_log_concave"],
+    "thm2": MARGINAL_GATES + ["common_hazard_scalar", "tilts_in_unit_interval",
+                              "tilt_vectors_in_common_cone",
+                              "reciprocal_weak_supermajorization", "sample_size_st_order",
+                              "generator_log_concave"],
+    "thm3": MARGINAL_GATES + ["independent_sample", "common_hazard_scalar",
+                              "tilts_in_unit_interval", "tilt_vectors_in_common_cone",
+                              "reciprocal_majorization", "fixed_sample_sizes"],
+    "thm4": TWO_BLOCK_GATES + ["equal_block_sizes", "common_main_parameter",
+                               "parameter_chain"],
+    "thm5": TWO_BLOCK_GATES + ["common_block_parameters", "block_parameters_ordered",
+                               "block_sizes_nested", "size_pair_weak_submajorization"],
+}
+
+
 class TestValidators:
     @pytest.mark.parametrize("example_id", [1, 2, 3, 4])
     def test_builtin_examples_pass_their_validators(self, example_id):
@@ -229,11 +292,37 @@ class TestValidators:
         rep = validate_theorem(sc)
         assert rep.ok, failed(rep)
 
+    @pytest.mark.parametrize("make", [
+        lambda: builtin_example(1), lambda: builtin_example(2), lambda: builtin_example(3),
+        thm4_example, lambda: builtin_example(4),
+    ], ids=["example1", "example2", "example3", "thm4", "example4"])
+    def test_passing_scenario_grades_the_stated_conditions_in_order(self, make):
+        sc = make()
+        rep = validate_theorem(sc)
+        assert rep.ok, failed(rep)
+        assert [c.name for c in rep.conditions] == STATED_CONDITIONS[sc.theorem]
+
+    @pytest.mark.parametrize("tag", ["thm1", "thm2", "thm3", "thm4", "thm5"])
+    def test_failed_side_structure_gate_stops_grading(self, tag):
+        two_block = tag in ("thm4", "thm5")
+        side = marginal_side(2) if two_block else thm4_example().side_x
+        rep = validate_theorem(Scenario(side, side, GRID, theorem=tag))
+        gate = "sides_are_two_block" if two_block else "sides_are_marginal_lists"
+        assert [(c.name, c.passed) for c in rep.conditions] == [(gate, False)]
+
+    @pytest.mark.parametrize("tag", ["thm1", "thm2", "thm3"])
+    def test_unequal_sample_sizes_stop_grading_after_the_shared_parts(self, tag):
+        rep = validate_theorem(Scenario(marginal_side(2), marginal_side(3), GRID, theorem=tag))
+        assert [(c.name, c.passed) for c in rep.conditions] == [
+            ("sides_are_marginal_lists", True), ("equal_sample_sizes", False),
+            ("shared_baseline", True), ("shared_generator", True)]
+
     def test_untagged_scenario_has_no_conditions(self):
         sc = builtin_example(1)
         sc = Scenario(sc.side_x, sc.side_y, sc.grid, sc.law_x, sc.law_y,
                       theorem="none", name="x")
-        assert validate_theorem(sc).ok
+        rep = validate_theorem(sc)
+        assert rep.ok and rep.conditions == ()
 
     def test_two_block_chain_violation_detected(self):
         base = Exponential(1.0)
