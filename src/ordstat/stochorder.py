@@ -6,8 +6,8 @@ scenario evaluates its curves once, on its grid, and the checks compare
 those arrays.  The hazard-rate verdict runs two routes (pointwise hazards,
 survival-ratio monotonicity) and flags disagreement as numerical
 instability.  A theorem's hypotheses are graded in their stated order, each
-by one rule that records it; a failed gate on the sides' structure ends the
-grading.
+by one rule that records it; a failed gate on the sides' structure or sizes
+cuts the grading short.
 """
 
 from __future__ import annotations

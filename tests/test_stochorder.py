@@ -291,16 +291,12 @@ class TestValidators:
         sc = builtin_example(example_id)
         rep = validate_theorem(sc)
         assert rep.ok, failed(rep)
-
-    @pytest.mark.parametrize("make", [
-        lambda: builtin_example(1), lambda: builtin_example(2), lambda: builtin_example(3),
-        thm4_example, lambda: builtin_example(4),
-    ], ids=["example1", "example2", "example3", "thm4", "example4"])
-    def test_passing_scenario_grades_the_stated_conditions_in_order(self, make):
-        sc = make()
-        rep = validate_theorem(sc)
-        assert rep.ok, failed(rep)
         assert [c.name for c in rep.conditions] == STATED_CONDITIONS[sc.theorem]
+
+    def test_thm4_scenario_grades_the_stated_conditions_in_order(self):
+        rep = validate_theorem(thm4_example())
+        assert rep.ok, failed(rep)
+        assert [c.name for c in rep.conditions] == STATED_CONDITIONS["thm4"]
 
     @pytest.mark.parametrize("tag", ["thm1", "thm2", "thm3", "thm4", "thm5"])
     def test_failed_side_structure_gate_stops_grading(self, tag):
