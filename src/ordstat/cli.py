@@ -56,6 +56,15 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _write_outputs(paths: list[Path], grid: Grid, blocks, report: str) -> None:
+    """Write the curves CSV of ``blocks``, their SVG plot and ``report`` to
+    ``paths`` in that order, then echo the report to stdout."""
+    texts = (_csv_text(grid, blocks), render_curve_plot(grid.x, blocks), report)
+    for path, text in zip(paths, texts):
+        _write_atomic(path, text)
+    sys.stdout.write(report)
+
+
 def _cells(vals: list) -> list[str]:
     """``vals`` at 17 significant digits, formatted in one call."""
     return ("%.17g\n" * len(vals) % tuple(vals)).split("\n")[:-1]
@@ -145,17 +154,11 @@ def _report_text(scenario: Scenario, hyp, checks: dict[str, DominanceReport],
     return "\n".join(lines) + "\n"
 
 
-def _resolve_out_dir(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get("ORDSTAT_OUT")
-    return Path(env) if env else Path("ordstat-out")
-
-
-def _output_paths(out_dir: Path, stem: str, output: dict) -> list[Path]:
-    """The CSV, SVG and report paths in ``out_dir``, named by ``output`` or
-    else from ``stem``, made from the scenario's name.  A file name that is
-    not bare, or two that coincide, are rejected, naming their keys."""
+def _output_paths(out_dir: str | None, stem: str, output: dict) -> list[Path]:
+    """The CSV, SVG and report paths in ``out_dir`` (else $ORDSTAT_OUT, else
+    ./ordstat-out), named by ``output`` or else from ``stem``, made from the
+    scenario's name.  A file name that is not bare, or two that coincide,
+    are rejected, naming their keys."""
     names = {"csv": f"{stem}_curves.csv", "svg": f"{stem}_plot.svg",
              "report": f"{stem}_report.txt", **output}
     for key, name in names.items():
@@ -166,12 +169,13 @@ def _output_paths(out_dir: Path, stem: str, output: dict) -> list[Path]:
         same = [f"output.{k}" for k, other in names.items() if other == name]
         if len(same) > 1:
             raise ScenarioError(f"{' and '.join(same)} name the same file {name!r}")
-    return [out_dir / name for name in names.values()]
+    out = Path(out_dir or os.environ.get("ORDSTAT_OUT") or "ordstat-out")
+    return [out / name for name in names.values()]
 
 
-def _run_comparison(scenario: Scenario, out_dir: Path, output: dict | None = None) -> int:
-    csv_path, svg_path, report_path = _output_paths(
-        out_dir, scenario.name or "scenario", output or {})
+def _run_comparison(scenario: Scenario, out_dir: str | None,
+                    output: dict | None = None) -> int:
+    paths = _output_paths(out_dir, scenario.name or "scenario", output or {})
 
     hyp = validate_theorem(scenario)
     checks = _run_checks(scenario)
@@ -185,23 +189,19 @@ def _run_comparison(scenario: Scenario, out_dir: Path, output: dict | None = Non
     sf = checks["st"].curves
     hr = checks["hr"].curves if "hr" in checks else {}
     blocks = [("analytic", sf["X"], sf["Y"], hr.get("X"), hr.get("Y"))]
-    _write_atomic(csv_path, _csv_text(scenario.grid, blocks))
-    _write_atomic(svg_path, render_curve_plot(scenario.grid.x, blocks))
-    report = _report_text(scenario, hyp, checks, exit_code,
-                          [csv_path, svg_path, report_path])
-    _write_atomic(report_path, report)
-    sys.stdout.write(report)
+    _write_outputs(paths, scenario.grid, blocks,
+                   _report_text(scenario, hyp, checks, exit_code, paths))
     return exit_code
 
 
 def _cmd_reproduce(args) -> int:
     scenario = builtin_example(args.example, _grid_override(args))
-    return _run_comparison(scenario, _resolve_out_dir(args.out_dir))
+    return _run_comparison(scenario, args.out_dir)
 
 
 def _cmd_compare(args) -> int:
     scenario, output = load_scenario_file(args.scenario, _grid_override(args))
-    return _run_comparison(scenario, _resolve_out_dir(args.out_dir), output)
+    return _run_comparison(scenario, args.out_dir, output)
 
 
 def _cmd_oracle_check(args) -> int:
@@ -223,6 +223,8 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    if args.replications < 1:
+        raise ValueError(f"--replications must be at least 1, got {args.replications}")
     scenario, output = load_scenario_file(args.scenario, _grid_override(args))
     side = scenario.side_x
     if not (isinstance(side, DependentSampleSpec)
@@ -230,24 +232,20 @@ def _cmd_simulate(args) -> int:
         print("simulate needs an independent x_side without a sample-size law",
               file=sys.stderr)
         return 2
-    csv_path, svg_path, report_path = _output_paths(
-        _resolve_out_dir(args.out_dir), (scenario.name or "scenario") + "_mc", output)
+    paths = _output_paths(args.out_dir, (scenario.name or "scenario") + "_mc", output)
     config = SimConfig(replications=args.replications, seed=args.seed,
                        marginals=side.marginals, grid=scenario.grid)
     report = mc_vs_analytic_report(config)
 
     blocks = [("analytic", report.analytic, None, None, None),
               ("mc", report.empirical, None, None, None)]
-    _write_atomic(csv_path, _csv_text(scenario.grid, blocks))
-    _write_atomic(svg_path, render_curve_plot(scenario.grid.x, blocks))
     verdict = "PASS" if report.passed else "FAIL"
-    text = (f"scenario: {scenario.name}\n"
-            f"replications: {config.replications}  seed: {config.seed}  "
-            f"rng: {report.algorithm}\n"
-            f"max standardized deviation: {report.max_std_dev:.4f} "
-            f"(threshold 4.0)\nverdict: {verdict}\n")
-    _write_atomic(report_path, text)
-    sys.stdout.write(text)
+    _write_outputs(paths, scenario.grid, blocks,
+                   f"scenario: {scenario.name}\n"
+                   f"replications: {config.replications}  seed: {config.seed}  "
+                   f"rng: {report.algorithm}\n"
+                   f"max standardized deviation: {report.max_std_dev:.4f} "
+                   f"(threshold 4.0)\nverdict: {verdict}\n")
     return 0 if report.passed else 3
 
 

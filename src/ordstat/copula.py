@@ -271,10 +271,10 @@ def builtin_generator(name: str, theta: float | None = None) -> ArchimedeanGener
 def check_log_concavity(g: ArchimedeanGenerator):
     """True when psi'/psi is non-increasing on 201 points from 0 to phi(1e-6).
 
-    Returns (flag, worst margin), the largest upward step of psi'/psi between
-    grid points; the grid ends at 50 where phi(1e-6) is not finite and positive.
-    It starts at 0 because a generator that is not log-concave, such as
-    Clayton's, may show it only near the origin.
+    Returns (flag, worst margin), the least downward step of psi'/psi between
+    grid points, negative where it rises; the grid ends at 50 where phi(1e-6)
+    is not finite and positive.  It starts at 0 because a generator that is
+    not log-concave, such as Clayton's, may show it only near the origin.
     """
     x_max = float(g.phi(1e-6))
     if not math.isfinite(x_max) or x_max <= 0.0:
@@ -283,8 +283,9 @@ def check_log_concavity(g: ArchimedeanGenerator):
     psi_vals = np.asarray(g.psi(xs), dtype=float)
     dpsi = np.asarray(g.psi_prime(xs), dtype=float)
     ratio = dpsi / psi_vals
-    worst = float(np.max(np.diff(ratio)))
-    return worst <= _LOG_CONCAVITY_TOL, worst
+    # a - b, not -(b - a), so that a flat step is +0.0
+    worst = float(np.min(ratio[:-1] - ratio[1:]))
+    return worst >= -_LOG_CONCAVITY_TOL, worst
 
 
 def survival_copula_eval(g: ArchimedeanGenerator, u) -> float:

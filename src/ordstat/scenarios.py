@@ -28,193 +28,162 @@ class ScenarioError(ValueError):
     """Scenario document is malformed; the message names the offending key."""
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
+_REQUIRED = object()
 
 
-def _get(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise ScenarioError(f"missing key {key!r} in {where}")
-    return obj[key]
-
-
-def _optional_object(obj: dict, key: str, where: str) -> dict:
-    """``obj[key]``, an object; only a missing key or JSON null is empty."""
-    value = obj.get(key)
-    if value is None:
-        return {}
+def _object(value, path: str, allowed=None) -> dict:
+    """``value``, a JSON object with no key outside ``allowed`` (None allows
+    any).  ``path`` names it by its dotted key path; the empty path is the
+    document itself, called "scenario" where it holds the offending key."""
     if not isinstance(value, dict):
-        raise ScenarioError(f"{where} must be an object")
+        raise ScenarioError(f"{path} must be an object" if path
+                            else "scenario document must be a JSON object")
+    unknown = sorted(set(value) - set(value if allowed is None else allowed))
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {unknown} in {path or 'scenario'}")
     return value
 
 
-def _number(value, where: str) -> float:
+def _field(obj: dict, path: str, key: str, convert=None, *args, default=_REQUIRED):
+    """``convert(obj[key], "<path>.<key>", *args)``, or ``obj[key]`` when
+    there is no ``convert``, for ``obj`` found at ``path``.  A missing key is
+    an error unless a ``default`` is given, which JSON null takes too."""
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in obj:
+        raise ScenarioError(f"missing key {key!r} in {path or 'scenario'}")
+    return convert(value, f"{path}.{key}" if path else key, *args) if convert else value
+
+
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose ValueError becomes a ScenarioError on
+    ``path``, the object it builds; the empty path adds no prefix."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from None
+
+
+def _number(value, path: str) -> float:
     """A finite JSON number; strings, booleans, NaN and infinities fail."""
     # bool is an int subclass; the range test fails NaN, infinities and
     # integers too large for a float
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not -sys.float_info.max <= value <= sys.float_info.max):
-        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+        raise ScenarioError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(value, where: str) -> int:
+def _integer(value, path: str) -> int:
     """A JSON integer; floats, strings and booleans fail."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+        raise ScenarioError(f"{path} must be an integer, got {value!r}")
     return value
 
 
-def _positive(value, where: str) -> float:
-    v = _number(value, where)
+def _positive(value, path: str) -> float:
+    v = _number(value, path)
     if not v > 0.0:
-        raise ScenarioError(f"{where} must be positive, got {v}")
+        raise ScenarioError(f"{path} must be positive, got {v}")
     return v
 
 
 def _parse_baseline(doc: dict) -> Weibull:
-    obj = _get(doc, "baseline", "scenario")
-    if not isinstance(obj, dict):
-        raise ScenarioError("baseline must be an object")
-    family = _get(obj, "family", "baseline")
+    obj = _field(doc, "", "baseline", _object)
+    family = _field(obj, "baseline", "family")
     if family == "weibull":
-        _require_keys(obj, {"family", "a", "b"}, "baseline")
-        return Weibull(_positive(_get(obj, "a", "baseline"), "baseline.a"),
-                       _positive(_get(obj, "b", "baseline"), "baseline.b"))
+        _object(obj, "baseline", ("family", "a", "b"))
+        return Weibull(_field(obj, "baseline", "a", _positive),
+                       _field(obj, "baseline", "b", _positive))
     if family == "exponential":
-        _require_keys(obj, {"family", "rate"}, "baseline")
-        return Exponential(_positive(_get(obj, "rate", "baseline"), "baseline.rate"))
+        _object(obj, "baseline", ("family", "rate"))
+        return Exponential(_field(obj, "baseline", "rate", _positive))
     raise ScenarioError(f"unknown baseline family {family!r}")
 
 
 def _parse_generator(doc: dict):
-    obj = doc.get("generator")
+    obj = _field(doc, "", "generator", _object, ("name", "params"), default=None)
     if obj is None:
         return builtin_generator("independence")
-    if not isinstance(obj, dict):
-        raise ScenarioError("generator must be an object")
-    _require_keys(obj, {"name", "params"}, "generator")
-    name = _get(obj, "name", "generator")
-    params = _optional_object(obj, "params", "generator.params")
-    _require_keys(params, {"theta"}, "generator.params")
-    theta = params.get("theta")
-    if theta is not None:
-        theta = _number(theta, "generator.params.theta")
-    try:
-        return builtin_generator(name, theta)
-    except ValueError as exc:
-        raise ScenarioError(f"generator: {exc}") from None
+    name = _field(obj, "generator", "name")
+    params = _field(obj, "generator", "params", _object, ("theta",), default={})
+    theta = _field(params, "generator.params", "theta", _number, default=None)
+    return _build("generator", builtin_generator, name, theta)
 
 
-def _as_vector(value, length_hint: int | None, where: str) -> list[float]:
+def _as_vector(value, path: str, length_hint: int | None) -> list[float]:
     if isinstance(value, list):
         if not value:
-            raise ScenarioError(f"{where} must be a number or a non-empty number list")
-        return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    v = _number(value, where)
+            raise ScenarioError(f"{path} must be a number or a non-empty number list")
+        return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    v = _number(value, path)
     if length_hint is None:
-        raise ScenarioError(f"{where} is a scalar but the side length cannot be inferred")
+        raise ScenarioError(f"{path} is a scalar but the side length cannot be inferred")
     return [v] * length_hint
 
 
 def _parse_side(doc: dict, key: str, baseline: Weibull, generator):
-    obj = _get(doc, key, "scenario")
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{key} must be an object")
+    obj = _field(doc, "", key, _object)
     if "multiple_outlier" in obj:
-        _require_keys(obj, {"multiple_outlier"}, key)
-        mo = obj["multiple_outlier"]
-        if not isinstance(mo, dict):
-            raise ScenarioError(f"{key}.multiple_outlier must be an object")
-        _require_keys(mo, {"alpha", "lambda1", "lambda2", "p", "q"},
-                      f"{key}.multiple_outlier")
-        try:
-            return MultipleOutlierSpec(
-                alpha=_positive(_get(mo, "alpha", key), f"{key}.alpha"),
-                lambda_out=_positive(_get(mo, "lambda1", key), f"{key}.lambda1"),
-                lambda_main=_positive(_get(mo, "lambda2", key), f"{key}.lambda2"),
-                p=_integer(_get(mo, "p", key), f"{key}.p"),
-                q=_integer(_get(mo, "q", key), f"{key}.q"), baseline=baseline)
-        except ValueError as exc:
-            raise ScenarioError(f"{key}: {exc}") from None
-    _require_keys(obj, {"alpha", "lambda"}, key)
-    alpha_raw = _get(obj, "alpha", key)
-    lam_raw = _get(obj, "lambda", key)
-    hint = None
-    for raw in (alpha_raw, lam_raw):
-        if isinstance(raw, list):
-            hint = len(raw)
-            break
-    alphas = _as_vector(alpha_raw, hint, f"{key}.alpha")
-    lams = _as_vector(lam_raw, hint, f"{key}.lambda")
+        _object(obj, key, ("multiple_outlier",))
+        mo = _field(obj, key, "multiple_outlier", _object,
+                    ("alpha", "lambda1", "lambda2", "p", "q"))
+        path = f"{key}.multiple_outlier"
+        rates = [_field(mo, path, k, _positive) for k in ("alpha", "lambda1", "lambda2")]
+        sizes = [_field(mo, path, k, _integer) for k in ("p", "q")]
+        return _build(key, MultipleOutlierSpec, *rates, *sizes, baseline)
+    _object(obj, key, ("alpha", "lambda"))
+    hint = next((len(v) for v in (obj.get("alpha"), obj.get("lambda"))
+                 if isinstance(v, list)), None)
+    alphas = _field(obj, key, "alpha", _as_vector, hint)
+    lams = _field(obj, key, "lambda", _as_vector, hint)
     if len(alphas) != len(lams):
         raise ScenarioError(f"{key}: alpha and lambda lengths differ")
-    try:
-        marginals = tuple(MphrMarginal(a, l, baseline) for a, l in zip(alphas, lams))
-        return DependentSampleSpec(marginals, generator)
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: {exc}") from None
+    return _build(key, lambda: DependentSampleSpec(
+        tuple(MphrMarginal(a, l, baseline) for a, l in zip(alphas, lams)), generator))
 
 
-def _parse_law(doc: dict, key: str) -> SampleSizeLaw | None:
-    raw = doc.get(key)
-    if raw is None:
-        return None
-    if not isinstance(raw, list):
-        raise ScenarioError(f"{key} must be a list of probabilities for m = 1..len")
-    probs = [_number(v, f"{key}[{i}]") for i, v in enumerate(raw)]
-    try:
-        return SampleSizeLaw(probs)
-    except ValueError as exc:
-        raise ScenarioError(f"{key}: {exc}") from None
+def _law(value, path: str) -> SampleSizeLaw:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path} must be a list of probabilities for m = 1..len")
+    probs = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return _build(path, SampleSizeLaw, probs)
 
 
 def _parse_grid(doc: dict, override: dict | None = None) -> Grid:
-    raw = _optional_object(doc, "grid", "grid")
     convert = {"points": _integer, "u_min": _number, "u_max": _number}
-    _require_keys(raw, set(convert), "grid")
+    raw = _field(doc, "", "grid", _object, convert, default={})
     # a key the document leaves out takes Grid.default's value
-    obj = {k: convert[k](v, f"grid.{k}") for k, v in raw.items()}
+    obj = {k: _field(raw, "grid", k, convert[k]) for k in raw}
     # command-line values arrive typed by argparse
     if override:
         obj.update({k: v for k, v in override.items() if v is not None})
-    try:
-        return Grid.default(**obj)
-    except ValueError as exc:
-        raise ScenarioError(f"grid: {exc}") from None
+    return _build("grid", Grid.default, **obj)
 
 
 def parse_scenario(doc: dict, grid_override: dict | None = None,
                    name: str = "scenario") -> tuple[Scenario, dict]:
     """Turn a parsed JSON document into a Scenario plus output-path options."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    _require_keys(doc, {"name", "baseline", "generator", "x_side", "y_side",
-                        "n1_pmf", "n2_pmf", "grid", "theorem", "output"}, "scenario")
+    _object(doc, "", ("name", "baseline", "generator", "x_side", "y_side",
+                      "n1_pmf", "n2_pmf", "grid", "theorem", "output"))
     baseline = _parse_baseline(doc)
     generator = _parse_generator(doc)
     side_x = _parse_side(doc, "x_side", baseline, generator)
     side_y = _parse_side(doc, "y_side", baseline, generator)
-    law_x = _parse_law(doc, "n1_pmf")
-    law_y = _parse_law(doc, "n2_pmf")
+    law_x = _field(doc, "", "n1_pmf", _law, default=None)
+    law_y = _field(doc, "", "n2_pmf", _law, default=None)
     grid = _parse_grid(doc, grid_override)
-    # an absent key and JSON null both take the default
-    theorem = "none" if doc.get("theorem") is None else doc["theorem"]
-    output = _optional_object(doc, "output", "output")
-    _require_keys(output, {"csv", "svg", "report"}, "output")
+    theorem = _field(doc, "", "theorem", default="none")
+    output = _field(doc, "", "output", _object, ("csv", "svg", "report"), default={})
     for key, value in output.items():
         if not (isinstance(value, str) and value):
             raise ScenarioError(f"output.{key} must be a non-empty string, got {value!r}")
-    name = name if doc.get("name") is None else doc["name"]
+    name = _field(doc, "", "name", default=name)
     if not isinstance(name, str):
         raise ScenarioError(f"name must be a string, got {name!r}")
-    try:
-        scenario = Scenario(side_x=side_x, side_y=side_y, grid=grid,
-                            law_x=law_x, law_y=law_y, theorem=theorem, name=name)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    scenario = _build("", Scenario, side_x=side_x, side_y=side_y, grid=grid,
+                      law_x=law_x, law_y=law_y, theorem=theorem, name=name)
     return scenario, dict(output)
 
 

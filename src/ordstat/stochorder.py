@@ -85,7 +85,8 @@ class Grid:
         # that NaN fails
         if not (0.0 < u_min <= 1.0 and 0.0 < u_max <= 1.0):
             raise ValueError("grid values must lie in (0, 1]")
-        return cls(np.linspace(u_min, u_max, points))
+        # a negative count is the empty grid, which fails the size check
+        return cls(np.linspace(u_min, u_max, max(points, 0)))
 
     @property
     def x(self) -> np.ndarray:

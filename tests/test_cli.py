@@ -268,7 +268,7 @@ class TestCompare:
         (1, ("generator", "params", "theta"), "0.1", "generator.params.theta"),
         (1, ("grid", "u_min"), "0.001", "grid.u_min"),
         (1, ("n1_pmf",), [False, False, False, True], "n1_pmf"),
-        (4, ("x_side", "multiple_outlier", "p"), True, "x_side.p"),
+        (4, ("x_side", "multiple_outlier", "p"), True, "x_side.multiple_outlier.p"),
         (3, ("x_side", "alpha"), [math.inf, 1 / 3, 1 / 2, 1.0], "x_side.alpha"),
     ], ids=["string", "int_beyond_float", "string_theta", "string_grid", "bools",
             "bool_integer", "infinity"])
@@ -404,12 +404,19 @@ _DELETE = object()
     (4, ("x_side", "multiple_outlier", "alpha"), 2.0, 2, "[FAIL] tilt_in_unit_interval"),
     (4, ("x_side", "multiple_outlier", "p"), 10**30, 64,
      "x_side: block sizes p + q must be at most 2**53"),
+    (4, ("x_side", "multiple_outlier", "q"), _DELETE, 64,
+     "missing key 'q' in x_side.multiple_outlier"),
+    (4, ("x_side", "multiple_outlier", "alpha"), -1, 64,
+     "scenario error: x_side.multiple_outlier.alpha must be positive"),
+    (4, ("x_side", "multiple_outlier", "lambda1"), "a", 64,
+     "scenario error: x_side.multiple_outlier.lambda1 must be a finite number"),
     (3, ("x_side", "alpha"), 0.5, 64,
      "x_side.alpha is a scalar but the side length cannot be inferred"),
     (3, ("x_side", "alpha"), [], 64, "x_side.alpha must be a number or a non-empty number list"),
     (3, ("x_side", "lambda"), [0.5, 0.5], 64, "x_side: alpha and lambda lengths differ"),
     (1, ("x_side", "lambda"), [0.5] * 17, 64, "x_side: sample size 17 exceeds"),
     (1, ("n1_pmf",), 0.5, 64, "n1_pmf must be a list of probabilities"),
+    (3, ("grid", "points"), -5, 64, "grid: grid needs at least 50 one-dimensional points"),
     (3, ("grid",), [1], 64, "grid must be an object"),
     (3, ("grid",), [], 64, "grid must be an object"),
     (3, ("grid",), 0, 64, "grid must be an object"),
@@ -429,8 +436,10 @@ _DELETE = object()
 ], ids=["not_an_object", "missing_key", "baseline_list", "baseline_family",
         "nonpositive", "generator_string", "params_list", "params_empty_list",
         "params_zero", "generator_family", "bad_theta", "side_list", "two_block_number",
-        "two_block_alpha", "two_block_size_beyond_float", "scalar_only_side", "empty_list",
-        "length_mismatch", "beyond_max_dimension", "law_number", "grid_list",
+        "two_block_alpha", "two_block_size_beyond_float", "two_block_missing_key",
+        "two_block_nonpositive", "two_block_string", "scalar_only_side", "empty_list",
+        "length_mismatch", "beyond_max_dimension", "law_number", "negative_grid_points",
+        "grid_list",
         "grid_empty_list", "grid_zero", "output_string", "output_empty_string",
         "output_false", "theorem_tag", "theorem_empty", "theorem_zero", "theorem_false",
         "name_false", "law_on_two_block", "law_too_wide",
@@ -548,6 +557,16 @@ class TestSimulate:
         assert cli.main(["simulate", str(missing), "--seed", "-1",
                          "--out-dir", str(tmp_path)]) == 64
         assert capsys.readouterr().err.startswith("configuration error: --seed ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("replications", ["0", "-3"])
+    def test_replications_rejected_before_the_scenario_is_read(self, tmp_path, capsys,
+                                                               replications):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["simulate", str(missing), "--replications", replications,
+                         "--out-dir", str(tmp_path)]) == 64
+        assert capsys.readouterr().err == (
+            f"configuration error: --replications must be at least 1, got {replications}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_coupled_scenario_rejected(self, tmp_path):

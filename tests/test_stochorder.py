@@ -62,6 +62,8 @@ class TestGrid:
             Grid.default(u_min=np.nan)           # all-NaN u
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             Grid.default(u_max=np.inf)           # rejected before linspace warns
+        with pytest.raises(ValueError, match="at least 50"):
+            Grid.default(points=-5)              # not numpy's negative-count text
         with pytest.raises(ValueError):
             Grid(np.r_[np.linspace(0.1, 0.9, 59), np.nan])  # trailing NaN
 
