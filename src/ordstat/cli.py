@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache, lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -86,6 +87,13 @@ def _column(values, rows: int, hazard: bool = False) -> list[str]:
     return cells + [""] * (rows - len(cells))
 
 
+@lru_cache(maxsize=8)
+def _ux_cells(grid: Grid) -> tuple[str, ...]:
+    """The joined ``u,x`` cells of ``grid``'s rows, formatted once per grid
+    (a grid's u and x are read-only)."""
+    return tuple(map(",".join, zip(_cells(grid.u.tolist()), _cells(grid.x.tolist()))))
+
+
 def _csv_text(grid: Grid, blocks) -> str:
     """Schema u,x,sf_X,sf_Y,hr_X,hr_Y,source; each block's rows ascend in u.
 
@@ -94,8 +102,7 @@ def _csv_text(grid: Grid, blocks) -> str:
     left empty.  Empty hazard cells distinguish "not computed" (x = 0,
     survival-only comparisons) and non-finite values from an actual zero.
     """
-    rows = grid.u.size
-    ux = list(map(",".join, zip(_cells(grid.u.tolist()), _cells(grid.x.tolist()))))
+    rows, ux = grid.u.size, _ux_cells(grid)
     lines = ["u,x,sf_X,sf_Y,hr_X,hr_Y,source"]
     for source, sf_x, sf_y, hr_x, hr_y in blocks:
         lines += map(",".join, zip(ux, _column(sf_x, rows), _column(sf_y, rows),
@@ -253,7 +260,10 @@ def _grid_override(args) -> dict:
     return {"points": args.grid_points, "u_min": args.u_min}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ordstat`` parser, built once per process and shared by every
+    ``main`` call; it holds no state between parses."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--grid-points", type=int, default=None,
                         help="number of u-grid points (default 1000)")

@@ -13,7 +13,7 @@ cuts the grading short.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -61,14 +61,20 @@ _HR_RATIO_TOL = 1e-9
 _RH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Evaluation grid: u ascending in (0, 1], x = -log(u)."""
+    """Evaluation grid: u ascending in (0, 1], x = -log(u).
+
+    A grid owns a read-only copy of its u, and takes x and positive_x once,
+    read-only; so one grid can be shared, and ``Grid.default`` gives one
+    per argument triple.  Grids compare and hash by identity.
+    """
 
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        # a copy: a caller's later write to its array cannot pass the checks
+        u = np.array(self.u, dtype=float)
         if u.ndim != 1 or u.size < 50:
             raise ValueError("grid needs at least 50 one-dimensional points")
         # written so that a NaN value fails both checks
@@ -76,26 +82,39 @@ class Grid:
             raise ValueError("grid values must lie in (0, 1]")
         if not np.all(np.diff(u) > 0.0):
             raise ValueError("grid values must be strictly increasing")
+        u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
     @classmethod
     def default(cls, points: int = 1000, u_min: float = 1e-3,
                 u_max: float = 1.0) -> "Grid":
-        # checked before linspace, which warns on an infinite end; written so
-        # that NaN fails
-        if not (0.0 < u_min <= 1.0 and 0.0 < u_max <= 1.0):
-            raise ValueError("grid values must lie in (0, 1]")
-        # a negative count is the empty grid, which fails the size check
-        return cls(np.linspace(u_min, u_max, max(points, 0)))
+        """``points`` evenly spaced u in [u_min, u_max], made once per process
+        for each (points, u_min, u_max)."""
+        return _default_grid(points, u_min, u_max)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -np.log(self.u)
+        x = -np.log(self.u)
+        x.setflags(write=False)
+        return x
 
-    @property
+    @cached_property
     def positive_x(self) -> np.ndarray:
         """x values with the x = 0 point removed (hazards live here)."""
-        return -np.log(self.u[self.u < 1.0])
+        x = self.x[self.u < 1.0]
+        x.setflags(write=False)
+        return x
+
+
+# typed: a float count is not the cached grid of its int, and still fails
+@lru_cache(maxsize=8, typed=True)
+def _default_grid(points: int, u_min: float, u_max: float) -> Grid:
+    # checked before linspace, which warns on an infinite end; written so
+    # that NaN fails
+    if not (0.0 < u_min <= 1.0 and 0.0 < u_max <= 1.0):
+        raise ValueError("grid values must lie in (0, 1]")
+    # a negative count is the empty grid, which fails the size check
+    return Grid(np.linspace(u_min, u_max, max(points, 0)))
 
 
 @dataclass

@@ -35,7 +35,7 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 
 
-def failed_warmup_checks(name, tmp_path, monkeypatch):
+def failed_warmup_checks(name, tmp_path, monkeypatch, cycles=1):
     # the harness writes its outputs under a path relative to the cwd
     monkeypatch.chdir(tmp_path)
     work = Path("work")
@@ -44,7 +44,7 @@ def failed_warmup_checks(name, tmp_path, monkeypatch):
     inputs = workload.warmup(ordstat, work)
     assert inputs
     failed = []
-    for inp in inputs:
+    for inp in inputs * cycles:
         out = workload.run(ordstat, inp)
         failed += [(inp[0], check) for check in workload.check(ordstat, inp, out)]
     return failed
@@ -60,3 +60,9 @@ def test_certify_checks_hold_on_curves_split_into_passes(tmp_path, monkeypatch):
     # grids spans tens of passes, the last of them ragged
     monkeypatch.setattr(ordstat.orderstats, "_BLOCK", 99)
     assert not failed_warmup_checks("certify", tmp_path, monkeypatch)
+
+
+def test_reproduce_warmup_passes_twice_in_one_process(tmp_path, monkeypatch):
+    # the second cycle reuses the parser, the default grid and its u,x cells
+    # that the first one built, as the harness's timed loop does
+    assert not failed_warmup_checks("reproduce", tmp_path, monkeypatch, cycles=2)

@@ -132,6 +132,23 @@ class TestReproduce:
         assert err.startswith("i/o error: ") and f"'{svg_path}'" in err
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_runs_in_one_process_share_no_state(self, tmp_path):
+        # one parser and one u,x text per grid serve every main call
+        runs = [(["3", "--grid-points", "77", "--u-min", "0.01"], 0.01, 77),
+                (["3"], 1e-3, 1000), None, (["4"], 1e-3, 1000)]
+        for i, run in enumerate(runs):
+            out = tmp_path / str(i)
+            if run is None:
+                with pytest.raises(SystemExit):
+                    cli.main(["reproduce", "9", "--out-dir", str(out)])
+                continue
+            args, u_min, points = run
+            assert cli.main(["reproduce", *args, "--out-dir", str(out)]) == 0
+            rows = read_rows(out / f"example{args[0]}_curves.csv")
+            u = np.linspace(u_min, 1.0, points)
+            assert [(r["u"], r["x"]) for r in rows] == [
+                (f"{a:.17g}", f"{b:.17g}") for a, b in zip(u, -np.log(u))]
+
 
 class TestCompare:
     def test_equivalent_document_reproduces_bit_for_bit(self, tmp_path):

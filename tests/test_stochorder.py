@@ -67,6 +67,26 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(np.r_[np.linspace(0.1, 0.9, 59), np.nan])  # trailing NaN
 
+    def test_grid_owns_a_read_only_copy_of_its_u(self):
+        a = np.linspace(0.1, 1.0, 60)
+        g = Grid(a)
+        a[5] = -3.0
+        assert g.u[5] == np.linspace(0.1, 1.0, 60)[5]
+        for grid in (g, Grid.default()):
+            for values in (grid.u, grid.x, grid.positive_x):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 5.0
+        assert np.array_equal(g.positive_x, g.x[:-1])
+
+    def test_default_grid_is_made_once_and_errors_are_not_kept(self):
+        g = Grid.default(1000, 1e-3)
+        assert Grid.default(1000, 1e-3) is g
+        assert Grid.default() is g
+        assert g.x is g.x and g.positive_x is g.positive_x
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                Grid.default(u_min=np.nan)
+
 
 class TestCheckSt:
     def test_identical_curves_hold_with_zero_margin(self):
